@@ -90,6 +90,9 @@ type proc struct {
 	mu   sync.Mutex
 	log  []string
 	addr string // resolved listen address (coordinator only)
+	// logEOF closes once the stderr scanner has read the last line.
+	// cmd.Wait closes the pipe, so it must not run before then.
+	logEOF chan struct{}
 }
 
 func (p *proc) logText() string {
@@ -104,7 +107,7 @@ func (p *proc) kill9() { _ = p.cmd.Process.Kill() }
 // when waitAddr is set, and keeps the pipe drained either way.
 func startProc(t *testing.T, bin string, waitAddr bool, args ...string) *proc {
 	t.Helper()
-	p := &proc{cmd: exec.Command(bin, args...)}
+	p := &proc{cmd: exec.Command(bin, args...), logEOF: make(chan struct{})}
 	stderr, err := p.cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +121,7 @@ func startProc(t *testing.T, bin string, waitAddr bool, args ...string) *proc {
 	})
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(p.logEOF)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -417,7 +421,10 @@ func parseMetric(t *testing.T, m, name string) int64 {
 func waitExit(t *testing.T, p *proc, timeout time.Duration) {
 	t.Helper()
 	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
+	go func() {
+		<-p.logEOF
+		done <- p.cmd.Wait()
+	}()
 	select {
 	case err := <-done:
 		if err != nil {

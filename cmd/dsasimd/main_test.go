@@ -140,8 +140,13 @@ func TestDaemonSmoke(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
+	// cmd.Wait closes the stderr pipe: let the log reader reach EOF
+	// first, or the last lines can be lost.
 	waitErr := make(chan error, 1)
-	go func() { waitErr <- cmd.Wait() }()
+	go func() {
+		<-logDone
+		waitErr <- cmd.Wait()
+	}()
 	select {
 	case err := <-waitErr:
 		if err != nil {
@@ -150,7 +155,6 @@ func TestDaemonSmoke(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatalf("daemon did not exit after SIGTERM")
 	}
-	<-logDone
 	if !strings.Contains(strings.Join(logTail, "\n"), "dsasimd: bye") {
 		t.Errorf("daemon log missing clean-shutdown line:\n%s", strings.Join(logTail, "\n"))
 	}

@@ -698,6 +698,12 @@ func TestSubmitIdempotency(t *testing.T) {
 	if v := submit(t, ts1, spec, http.StatusAccepted); v.ID == first.ID {
 		t.Fatal("keyless submission replayed a keyed job")
 	}
+	// Admission normalizes the client's name: line breaks become spaces.
+	multiline := spec
+	multiline.Name = "idem\nsecond\rline"
+	if v, ok := c1.Job(submit(t, ts1, multiline, http.StatusAccepted).ID); !ok || v.Spec.Name != "idem second line" {
+		t.Errorf("multi-line name: view %+v, want spec name %q", v, "idem second line")
+	}
 
 	c1.Close()
 	ts1.Close()

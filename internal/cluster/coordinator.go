@@ -3,7 +3,6 @@ package cluster
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -60,33 +59,6 @@ const (
 	DefaultMaxJobs  = 256
 )
 
-// cjob is one job's record in the coordinator's table. Guarded by
-// Coordinator.mu; events has its own lock.
-type cjob struct {
-	id     string
-	spec   server.JobSpec
-	status string
-	// owner/epoch are the current lease: which worker may write this
-	// job's results, and the fencing token those writes must carry.
-	// owner "" means unassigned (epoch then remembers the *last*
-	// assignment, so reassignment always bumps past it).
-	owner string
-	epoch uint64
-	// resume marks a requeued job (takeover or coordinator restart):
-	// its next owner restores from the highest-epoch checkpoint.
-	resume bool
-	// idemKey, when set, is the Idempotency-Key the job was submitted
-	// under: a later submission with the same key replays this job
-	// instead of creating a twin.
-	idemKey  string
-	queued   time.Time
-	started  time.Time
-	finished time.Time
-	progress *server.ProgressJSON
-	result   *server.ResultJSON
-	events   *server.Broadcaster
-}
-
 // workerEntry is one live worker's lease.
 type workerEntry struct {
 	id       string
@@ -113,11 +85,15 @@ func newSession() string {
 }
 
 // Coordinator owns the cluster's job table and lease table, serves the
-// public job API (same shapes as the standalone daemon), and runs the
-// lease protocol against worker processes. Failure detection is the
-// expiry loop: a worker that misses its lease TTL is declared dead and
-// its jobs are reassigned at higher epochs.
+// public job API (the standalone daemon's, over its own table), and
+// runs the lease protocol against worker processes. Failure detection
+// is the expiry loop: a worker that misses its lease TTL is declared
+// dead and its jobs are reassigned at higher epochs.
 type Coordinator struct {
+	*server.API
+	// handler serves the public API and the lease protocol; the HA
+	// node dispatches into it while this coordinator leads.
+	handler  http.Handler
 	cfg      Config
 	metrics  *clusterMetrics
 	stopCh   chan struct{}
@@ -130,19 +106,17 @@ type Coordinator struct {
 	leaderEpoch uint64
 	repl        *replicator
 
-	mu      sync.Mutex
-	jobs    map[string]*cjob
-	order   []string
-	workers map[string]*workerEntry
-	// idem maps Idempotency-Key → job ID for replaying duplicate
-	// submissions. Persisted with the jobs (and replicated), so the
+	// mu guards the job table, the lease table and the counters. The
+	// table's Idempotency-Key index is persisted and replicated, so the
 	// dedup survives a coordinator restart and a failover.
-	idem map[string]string
+	mu      sync.Mutex
+	table   *server.Table
+	workers map[string]*workerEntry
 	// nextEpoch is the fencing-token counter: every assignment gets
 	// epoch stampEpochLocked() — ++nextEpoch composed under the
 	// leadership term — globally monotonic across jobs, workers, and
 	// (via the state file) coordinator restarts.
-	nextJob, nextWorker, nextEpoch uint64
+	nextWorker, nextEpoch uint64
 }
 
 // NewCoordinator builds the coordinator, restores its tables from
@@ -170,10 +144,22 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		leaderEpoch: cfg.leaderEpoch,
 		repl:        cfg.repl,
 		stopCh:      make(chan struct{}),
-		jobs:        map[string]*cjob{},
+		table:       server.NewTable(),
 		workers:     map[string]*workerEntry{},
-		idem:        map[string]string{},
 	}
+	c.API = server.NewAPI(&c.mu, c.table, server.Daemon{
+		Draining: c.draining.Load,
+		Refuse:   c.refuseLocked,
+		Admitted: c.admittedLocked,
+		Unready:  c.unready,
+		Metrics:  c.Metrics,
+		Counts:   &metrics.admissions,
+		// A coordinator answering readiness itself is the leader (the
+		// HA node answers for its standbys); clients and probes key
+		// off this.
+		Role: "leader",
+	})
+	c.handler = c.routes()
 	if cfg.preload != nil {
 		// A promoted standby adopts its replicated mirror instead of
 		// the state file — and persists it at once, so the file matches
@@ -233,13 +219,13 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		c.metrics.onLeaseExpire()
 		released := 0
 		for jid := range w.jobs {
-			j := c.jobs[jid]
-			if j == nil || server.Terminal(j.status) || j.owner != id {
+			j := c.table.Get(jid)
+			if j == nil || server.Terminal(j.Status) || j.Owner != id {
 				continue
 			}
-			j.owner = ""
-			j.resume = true
-			j.status = server.StatusQueued
+			j.Owner = ""
+			j.Resume = true
+			j.Status = server.StatusQueued
 			c.repJobLocked(j)
 			released++
 		}
@@ -263,21 +249,20 @@ func (c *Coordinator) assignLocked() {
 	}
 	r := newRing(ids)
 	changed := false
-	for _, jid := range c.order {
-		j := c.jobs[jid]
-		if j.status != server.StatusQueued || j.owner != "" {
+	for _, j := range c.table.Jobs() {
+		if j.Status != server.StatusQueued || j.Owner != "" {
 			continue
 		}
-		w := r.owner(jid, func(wid string) bool {
+		w := r.owner(j.ID, func(wid string) bool {
 			we := c.workers[wid]
 			return len(we.jobs) < we.capacity
 		})
 		if w == "" {
 			break // every worker is at capacity; later jobs can't do better
 		}
-		j.owner = w
-		j.epoch = c.stampEpochLocked()
-		c.workers[w].jobs[jid] = struct{}{}
+		j.Owner = w
+		j.Epoch = c.stampEpochLocked()
+		c.workers[w].jobs[j.ID] = struct{}{}
 		c.repJobLocked(j)
 		changed = true
 	}
@@ -304,12 +289,12 @@ func (c *Coordinator) stampEpochLocked() uint64 {
 // tee one mutation into the replication log (no-ops without one). The
 // caller must hold c.mu — that ordering is what makes the log replay
 // deterministic.
-func (c *Coordinator) repJobLocked(j *cjob) {
+func (c *Coordinator) repJobLocked(j *server.Job) {
 	if c.repl == nil {
 		return
 	}
-	pj := c.persistJobLocked(j)
-	c.repl.append(repRecord{Kind: recJob, Job: &pj})
+	row := j.Row()
+	c.repl.append(repRecord{Kind: recJob, Job: &row})
 }
 
 func (c *Coordinator) repWorkerLocked(we *workerEntry) {
@@ -330,7 +315,7 @@ func (c *Coordinator) repCountersLocked() {
 	if c.repl == nil {
 		return
 	}
-	c.repl.append(repRecord{Kind: recCounters, Counters: &repCounters{NextJob: c.nextJob, NextWorker: c.nextWorker, NextEpoch: c.nextEpoch}})
+	c.repl.append(repRecord{Kind: recCounters, Counters: &repCounters{NextJob: c.table.LastID(), NextWorker: c.nextWorker, NextEpoch: c.nextEpoch}})
 }
 
 // replicaSnapshot renders a full-state catch-up record, consistent
@@ -347,61 +332,28 @@ func (c *Coordinator) replicaSnapshot() repRecord {
 	return repRecord{Seq: seq, Kind: recSnapshot, State: &st}
 }
 
-// Submit admits a job into the cluster table. Admission mirrors the
-// standalone daemon: 400 invalid, 503 draining, 429 table full. A
-// non-empty idemKey that matches an earlier submission replays that
-// job (deduped=true) instead of creating a twin — checked before the
-// draining and table-full refusals, so a client retrying after an
-// ambiguous success (response lost on the wire) always converges on
-// the job it already created, even if the table filled up meanwhile.
-func (c *Coordinator) Submit(spec server.JobSpec, idemKey string) (view *server.JobView, deduped bool, err error) {
-	c.mu.Lock()
-	if idemKey != "" {
-		if jid, ok := c.idem[idemKey]; ok {
-			v := c.viewLocked(c.jobs[jid])
-			c.mu.Unlock()
-			c.metrics.onDedup()
-			return &v, true, nil
-		}
-	}
-	if verr := spec.Validate(); verr != nil {
-		c.mu.Unlock()
-		return nil, false, &admissionError{code: http.StatusBadRequest, msg: verr.Error()}
-	}
-	if c.draining.Load() {
-		c.mu.Unlock()
-		c.metrics.onReject()
-		return nil, false, &admissionError{code: http.StatusServiceUnavailable, msg: "draining"}
-	}
+// refuseLocked turns a submission away when the table already holds
+// MaxJobs open jobs. The caller must hold c.mu.
+func (c *Coordinator) refuseLocked() *server.AdmissionError {
 	open := 0
-	for _, jid := range c.order {
-		if !server.Terminal(c.jobs[jid].status) {
+	for _, j := range c.table.Jobs() {
+		if !server.Terminal(j.Status) {
 			open++
 		}
 	}
-	if open >= c.cfg.MaxJobs {
-		c.mu.Unlock()
-		c.metrics.onReject()
-		return nil, false, &admissionError{
-			code:       http.StatusTooManyRequests,
-			msg:        fmt.Sprintf("job table full (%d open jobs)", open),
-			retryAfter: c.cfg.RetryAfter,
-		}
+	if open < c.cfg.MaxJobs {
+		return nil
 	}
-	c.nextJob++
-	j := &cjob{
-		id:      fmt.Sprintf("j%06d", c.nextJob),
-		spec:    spec,
-		status:  server.StatusQueued,
-		idemKey: idemKey,
-		queued:  time.Now(),
-		events:  server.NewBroadcaster(),
+	return &server.AdmissionError{
+		Code:       http.StatusTooManyRequests,
+		Msg:        fmt.Sprintf("job table full (%d open jobs)", open),
+		RetryAfter: c.cfg.RetryAfter,
 	}
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-	if idemKey != "" {
-		c.idem[idemKey] = j.id
-	}
+}
+
+// admittedLocked assigns a job the API just entered in the table,
+// replicates and persists it. The caller must hold c.mu.
+func (c *Coordinator) admittedLocked(j *server.Job) {
 	c.assignLocked()
 	// Replicate the admission even when no worker could take it yet
 	// (assignLocked only records jobs it assigned). The upsert is
@@ -409,48 +361,18 @@ func (c *Coordinator) Submit(spec server.JobSpec, idemKey string) (view *server.
 	c.repJobLocked(j)
 	c.repCountersLocked()
 	c.saveStateLocked()
-	v := c.viewLocked(j)
-	c.mu.Unlock()
-	c.metrics.onSubmit()
-	return &v, false, nil
 }
 
-// Job returns one job's current view.
-func (c *Coordinator) Job(id string) (*server.JobView, bool) {
+// unready is the readiness reason beyond draining: the cluster can
+// usefully accept a submission only while some worker holds a current
+// lease.
+func (c *Coordinator) unready() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, false
+	if len(c.workers) == 0 {
+		return "no live workers"
 	}
-	v := c.viewLocked(j)
-	return &v, true
-}
-
-// Jobs lists every job in submission order.
-func (c *Coordinator) Jobs() []server.JobView {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]server.JobView, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.viewLocked(c.jobs[id]))
-	}
-	return out
-}
-
-func (c *Coordinator) viewLocked(j *cjob) server.JobView {
-	return server.JobView{
-		ID:       j.id,
-		Status:   j.status,
-		Spec:     j.spec,
-		Queued:   fmtTime(j.queued),
-		Started:  fmtTime(j.started),
-		Finished: fmtTime(j.finished),
-		Progress: j.progress,
-		Result:   j.result,
-		Owner:    j.owner,
-		Epoch:    j.epoch,
-	}
+	return ""
 }
 
 // gaugesSnapshot samples the point-in-time gauges. The HA node reuses
@@ -463,9 +385,8 @@ func (c *Coordinator) gaugesSnapshot() clusterGauges {
 		inflight[id] = len(w.jobs)
 	}
 	pending := 0
-	for _, jid := range c.order {
-		j := c.jobs[jid]
-		if j.status == server.StatusQueued && j.owner == "" {
+	for _, j := range c.table.Jobs() {
+		if j.Status == server.StatusQueued && j.Owner == "" {
 			pending++
 		}
 	}
@@ -497,30 +418,4 @@ func (c *Coordinator) Close() {
 		c.mu.Unlock()
 		c.cfg.Logf("dsasimd: coordinator closed")
 	})
-}
-
-// admissionError mirrors the server's: the HTTP answer for a refusal.
-type admissionError struct {
-	code       int
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *admissionError) Error() string { return e.msg }
-
-func fmtTime(t time.Time) string {
-	if t.IsZero() {
-		return ""
-	}
-	return t.UTC().Format(time.RFC3339Nano)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

@@ -47,7 +47,7 @@ import (
 
 // Role header and loop-protection header names.
 const (
-	roleHeader      = "X-Dsasimd-Role"
+	roleHeader      = server.RoleHeader
 	forwardedHeader = "X-Dsasimd-Forwarded"
 )
 
@@ -460,14 +460,14 @@ func postReplicateBody(hc *http.Client, peer string, body []byte, timeout time.D
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading batch: "+err.Error())
+		server.HTTPError(w, http.StatusBadRequest, "reading batch: "+err.Error())
 		return
 	}
 	hdr, recs, err := decodeReplicateBatch(body)
 	if err != nil {
 		// Truncated or bit-flipped in flight: reject whole; the leader
 		// resends from the unacknowledged watermark.
-		httpError(w, http.StatusBadRequest, "bad batch: "+err.Error())
+		server.HTTPError(w, http.StatusBadRequest, "bad batch: "+err.Error())
 		return
 	}
 	n.mu.Lock()
@@ -475,7 +475,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		cur := n.leaderEpoch
 		n.mu.Unlock()
 		n.metrics.onReplicationReject()
-		writeJSON(w, http.StatusConflict, map[string]any{
+		server.WriteJSON(w, http.StatusConflict, map[string]any{
 			"error": "stale leadership term: writes fenced", "term": cur,
 		})
 		return
@@ -510,7 +510,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			n.logf("dsasimd-ha: saving standby state: %v", err)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // Handler returns the node's HTTP surface: the public job API (served
@@ -519,47 +519,35 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // rotate), role-aware readiness, and the replication endpoint.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", n.public((*Coordinator).handleSubmit))
-	mux.HandleFunc("GET /v1/jobs", n.public((*Coordinator).handleList))
-	mux.HandleFunc("GET /v1/jobs/{id}", n.public((*Coordinator).handleJob))
-	mux.HandleFunc("GET /v1/jobs/{id}/events", n.public((*Coordinator).handleEvents))
-	mux.HandleFunc("GET /metrics", n.handleMetrics)
-	mux.HandleFunc("GET /healthz", n.handleHealth)
-	mux.HandleFunc("GET /readyz", n.handleReady)
+	mux.HandleFunc("POST /v1/jobs", n.leaderOr(n.proxyToLeader))
+	mux.HandleFunc("GET /v1/jobs", n.leaderOr(n.proxyToLeader))
+	mux.HandleFunc("GET /v1/jobs/{id}", n.leaderOr(n.proxyToLeader))
+	mux.HandleFunc("GET /v1/jobs/{id}/events", n.leaderOr(n.proxyToLeader))
+	mux.HandleFunc("GET /metrics", server.MetricsHandler(n.metricsText))
+	mux.HandleFunc("GET /healthz", n.leaderOr(standbyHealth))
+	mux.HandleFunc("GET /readyz", n.leaderOr(n.standbyReady))
 
-	mux.HandleFunc("POST /cluster/v1/join", n.workerEP((*Coordinator).handleJoin))
-	mux.HandleFunc("POST /cluster/v1/heartbeat", n.workerEP((*Coordinator).handleHeartbeat))
-	mux.HandleFunc("POST /cluster/v1/complete", n.workerEP((*Coordinator).handleComplete))
-	mux.HandleFunc("POST /cluster/v1/progress", n.workerEP((*Coordinator).handleProgress))
+	// 503 — not 409 — on the lease protocol: 409 makes a worker
+	// self-fence (checkpoint, unwind, rejoin fresh), which would
+	// needlessly restart its jobs just because it polled the wrong
+	// node; 503 makes it rotate endpoints and carry on.
+	mux.HandleFunc("POST /cluster/v1/join", n.leaderOr(n.standbyRefuse))
+	mux.HandleFunc("POST /cluster/v1/heartbeat", n.leaderOr(n.standbyRefuse))
+	mux.HandleFunc("POST /cluster/v1/complete", n.leaderOr(n.standbyRefuse))
+	mux.HandleFunc("POST /cluster/v1/progress", n.leaderOr(n.standbyRefuse))
 	mux.HandleFunc("POST /cluster/v1/replicate", n.handleReplicate)
 	return mux
 }
 
-// public serves a job-API handler from the live coordinator, or — on a
-// standby — forwards to the known leader so clients that landed on the
-// wrong node still get an answer.
-func (n *Node) public(h func(*Coordinator, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+// leaderOr serves a request from the live coordinator's own handler
+// when this node leads, and with standby otherwise.
+func (n *Node) leaderOr(standby http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if c := n.Leader(); c != nil {
-			h(c, w, r)
+			c.handler.ServeHTTP(w, r)
 			return
 		}
-		n.proxyToLeader(w, r)
-	}
-}
-
-// workerEP serves a lease-protocol handler on the leader and refuses
-// with 503 + role on a standby. 503 — not 409 — on purpose: 409 makes
-// a worker self-fence (checkpoint, unwind, rejoin fresh), which would
-// needlessly restart its jobs just because it polled the wrong node;
-// 503 makes it rotate endpoints and carry on.
-func (n *Node) workerEP(h func(*Coordinator, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if c := n.Leader(); c != nil {
-			h(c, w, r)
-			return
-		}
-		n.standbyRefuse(w)
+		standby(w, r)
 	}
 }
 
@@ -567,19 +555,14 @@ func (n *Node) workerEP(h func(*Coordinator, http.ResponseWriter, *http.Request)
 // streaming (SSE flushes immediately) and loop-guarded: a request that
 // already went through one standby is refused, not bounced again.
 func (n *Node) proxyToLeader(w http.ResponseWriter, r *http.Request) {
-	n.mu.Lock()
-	target := ""
-	if n.sb != nil {
-		target = n.sb.leader
-	}
-	n.mu.Unlock()
+	target := n.followedLeader()
 	if target == "" || target == n.ha.Self || r.Header.Get(forwardedHeader) != "" {
-		n.standbyRefuse(w)
+		n.standbyRefuse(w, r)
 		return
 	}
 	u, err := url.Parse(target)
 	if err != nil {
-		n.standbyRefuse(w)
+		n.standbyRefuse(w, r)
 		return
 	}
 	rp := httputil.NewSingleHostReverseProxy(u)
@@ -591,7 +574,7 @@ func (n *Node) proxyToLeader(w http.ResponseWriter, r *http.Request) {
 		req.Header.Set(forwardedHeader, n.ha.Self)
 	}
 	rp.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-		n.standbyRefuse(w)
+		n.standbyRefuse(w, r)
 	}
 	rp.ServeHTTP(w, r)
 }
@@ -599,52 +582,36 @@ func (n *Node) proxyToLeader(w http.ResponseWriter, r *http.Request) {
 // standbyRefuse is the standby's answer on endpoints only a leader
 // serves: 503 with the role header (and a leader hint when known), so
 // callers rotate instead of treating it as a fence.
-func (n *Node) standbyRefuse(w http.ResponseWriter) {
-	n.mu.Lock()
-	leader := ""
-	if n.sb != nil {
-		leader = n.sb.leader
-	}
-	n.mu.Unlock()
+func (n *Node) standbyRefuse(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(roleHeader, "standby")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-		"error": "standby: not leading", "leader": leader,
+	server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
+		"error": "standby: not leading", "leader": n.followedLeader(),
 	})
 }
 
-// handleHealth is liveness only: a standby is every bit as alive as a
+// standbyHealth is liveness only: a standby is every bit as alive as a
 // leader. Readiness is where roles show.
-func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if c := n.Leader(); c != nil {
-		c.handleHealth(w, r)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+func standbyHealth(w http.ResponseWriter, r *http.Request) {
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReady: a leader answers for the cluster (workers live?); a
-// standby is never ready to take traffic — 503 with the role header
-// and the leader's URL as the hint.
-func (n *Node) handleReady(w http.ResponseWriter, r *http.Request) {
-	if c := n.Leader(); c != nil {
-		c.handleReady(w, r)
-		return
-	}
-	n.mu.Lock()
-	leader := ""
-	if n.sb != nil {
-		leader = n.sb.leader
-	}
-	n.mu.Unlock()
+// standbyReady: a standby is never ready to take traffic — 503 with
+// the role header and the leader's URL as the hint.
+func (n *Node) standbyReady(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(roleHeader, "standby")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-		"status": "unready", "reason": "standby", "leader": leader,
+	server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
+		"status": "unready", "reason": "standby", "leader": n.followedLeader(),
 	})
 }
 
-func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, n.metricsText())
+// followedLeader is the leader URL a standby follows ("" if unknown).
+func (n *Node) followedLeader() string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.sb == nil {
+		return ""
+	}
+	return n.sb.leader
 }
 
 // metricsText renders the node's exposition: the coordinator's gauges

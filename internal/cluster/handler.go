@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -11,19 +10,13 @@ import (
 )
 
 // Handler returns the coordinator's HTTP API: the public job surface
-// (same shapes as the standalone daemon, so clients don't care which
-// they talk to) plus the worker-facing lease protocol under
-// /cluster/v1/.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", c.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("GET /healthz", c.handleHealth)
-	mux.HandleFunc("GET /readyz", c.handleReady)
+// (the standalone daemon's, so clients don't care which they talk to)
+// plus the worker-facing lease protocol under /cluster/v1/.
+func (c *Coordinator) Handler() http.Handler { return c.handler }
 
+func (c *Coordinator) routes() http.Handler {
+	mux := http.NewServeMux()
+	c.Register(mux)
 	mux.HandleFunc("POST /cluster/v1/join", c.handleJoin)
 	mux.HandleFunc("POST /cluster/v1/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /cluster/v1/complete", c.handleComplete)
@@ -31,103 +24,11 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec server.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	view, deduped, err := c.Submit(spec, r.Header.Get("Idempotency-Key"))
-	if err != nil {
-		var ae *admissionError
-		if !errors.As(err, &ae) {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		if ae.retryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", server.JitterSeconds(ae.retryAfter)))
-		}
-		httpError(w, ae.code, ae.msg)
-		return
-	}
-	if deduped {
-		w.Header().Set("Idempotency-Replayed", "true")
-	}
-	writeJSON(w, http.StatusAccepted, view)
-}
-
-func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": c.Jobs()})
-}
-
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	view, ok := c.Job(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	j, ok := c.jobs[r.PathValue("id")]
-	var status string
-	var events *server.Broadcaster
-	if ok {
-		status, events = j.status, j.events
-	}
-	c.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	server.StreamEvents(w, r, events, r.PathValue("id"), status)
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, c.Metrics())
-}
-
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	state := "ok"
-	if c.draining.Load() {
-		state = "draining"
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": state})
-}
-
-// handleReady: the cluster can usefully accept a submission only when
-// it is not draining and at least one worker holds a current lease.
-func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
-	// A coordinator answering readiness itself is the leader (the HA
-	// node answers for its standbys); clients and probes key off this.
-	w.Header().Set(roleHeader, "leader")
-	reason := ""
-	if c.draining.Load() {
-		reason = "draining"
-	} else {
-		c.mu.Lock()
-		if len(c.workers) == 0 {
-			reason = "no live workers"
-		}
-		c.mu.Unlock()
-	}
-	if reason != "" {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "unready", "reason": reason})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
 // decodeBody decodes a protocol request, answering 400 on garbage.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		server.HTTPError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
 	}
 	return true
@@ -139,7 +40,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if c.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "draining")
+		server.HTTPError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	if req.Capacity <= 0 {
@@ -162,7 +63,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	c.metrics.onLeaseGrant()
 	c.cfg.Logf("dsasimd: worker %s joined (capacity %d, session %s)", we.id, req.Capacity, we.session)
-	writeJSON(w, http.StatusOK, JoinResponse{Worker: we.id, Session: we.session, LeaseTTLMS: c.cfg.LeaseTTL.Milliseconds()})
+	server.WriteJSON(w, http.StatusOK, JoinResponse{Worker: we.id, Session: we.session, LeaseTTLMS: c.cfg.LeaseTTL.Milliseconds()})
 }
 
 // handleHeartbeat renews the worker's lease and reconciles its running
@@ -182,7 +83,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		// and rejoins under a fresh identity.
 		c.mu.Unlock()
 		c.metrics.onHeartbeatReject()
-		httpError(w, http.StatusConflict, "no current lease: rejoin")
+		server.HTTPError(w, http.StatusConflict, "no current lease: rejoin")
 		return
 	}
 	if we.session != req.Session || req.Seq <= we.lastSeq {
@@ -195,7 +96,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		c.metrics.onHeartbeatReject()
 		c.cfg.Logf("dsasimd: heartbeat for %s rejected (session %q seq %d vs lease session %q seq %d)",
 			req.Worker, req.Session, req.Seq, we.session, we.lastSeq)
-		httpError(w, http.StatusConflict, "stale session or replayed heartbeat: rejoin")
+		server.HTTPError(w, http.StatusConflict, "stale session or replayed heartbeat: rejoin")
 		return
 	}
 	we.lastSeq = req.Seq
@@ -211,29 +112,29 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	running := make(map[string]uint64, len(req.Running))
 	for _, rj := range req.Running {
 		running[rj.Job] = rj.Epoch
-		j := c.jobs[rj.Job]
-		if j == nil || j.owner != req.Worker || j.epoch != rj.Epoch || server.Terminal(j.status) {
+		j := c.table.Get(rj.Job)
+		if j == nil || j.Owner != req.Worker || j.Epoch != rj.Epoch || server.Terminal(j.Status) {
 			resp.Stop = append(resp.Stop, rj.Job)
 			continue
 		}
-		if j.status == server.StatusQueued {
-			j.status = server.StatusRunning
-			j.started = time.Now()
+		if j.Status == server.StatusQueued {
+			j.Status = server.StatusRunning
+			j.Started = time.Now()
 			c.repJobLocked(j)
 			statusEvents = append(statusEvents,
-				server.Event{Type: "status", Job: j.id, Status: server.StatusRunning})
+				server.Event{Type: "status", Job: j.ID, Status: server.StatusRunning})
 		}
 	}
 	for jid := range we.jobs {
-		j := c.jobs[jid]
-		if j == nil || server.Terminal(j.status) || j.owner != req.Worker {
+		j := c.table.Get(jid)
+		if j == nil || server.Terminal(j.Status) || j.Owner != req.Worker {
 			delete(we.jobs, jid)
 			continue
 		}
-		if ep, ok := running[jid]; ok && ep == j.epoch {
+		if ep, ok := running[jid]; ok && ep == j.Epoch {
 			continue
 		}
-		resp.Start = append(resp.Start, Assignment{Job: jid, Epoch: j.epoch, Spec: j.spec, Resume: j.resume})
+		resp.Start = append(resp.Start, Assignment{Job: jid, Epoch: j.Epoch, Spec: j.Spec, Resume: j.Resume})
 	}
 	c.mu.Unlock()
 
@@ -243,7 +144,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	for _, ev := range statusEvents {
 		c.publish(ev)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleComplete records a terminal result — exactly once. Any write
@@ -255,23 +156,23 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	j := c.jobs[req.Job]
+	j := c.table.Get(req.Job)
 	if j == nil {
 		c.mu.Unlock()
-		httpError(w, http.StatusNotFound, "no such job")
+		server.HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	if server.Terminal(j.status) || j.owner != req.Worker || j.epoch != req.Epoch {
+	if server.Terminal(j.Status) || j.Owner != req.Worker || j.Epoch != req.Epoch {
 		c.mu.Unlock()
 		c.metrics.onFencedWrite()
-		httpError(w, http.StatusConflict, "stale lease: result fenced")
+		server.HTTPError(w, http.StatusConflict, "stale lease: result fenced")
 		return
 	}
 	res := req.Result
-	j.status = res.Status
-	j.result = &res
-	j.finished = time.Now()
-	j.owner = ""
+	j.Status = res.Status
+	j.Result = &res
+	j.Finished = time.Now()
+	j.Owner = ""
 	if we := c.workers[req.Worker]; we != nil {
 		delete(we.jobs, req.Job)
 	}
@@ -283,7 +184,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	c.metrics.onDone(res.Status)
 	c.publish(server.Event{Type: "done", Job: req.Job, Status: res.Status, Result: &res})
 	c.cfg.Logf("dsasimd: job %s %s (worker %s, epoch %d)", req.Job, res.Status, req.Worker, req.Epoch)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
 }
 
 // handleProgress records a live sample, fenced like a completion.
@@ -293,31 +194,31 @@ func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	j := c.jobs[req.Job]
+	j := c.table.Get(req.Job)
 	if j == nil {
 		c.mu.Unlock()
-		httpError(w, http.StatusNotFound, "no such job")
+		server.HTTPError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	if server.Terminal(j.status) || j.owner != req.Worker || j.epoch != req.Epoch {
+	if server.Terminal(j.Status) || j.Owner != req.Worker || j.Epoch != req.Epoch {
 		c.mu.Unlock()
 		c.metrics.onFencedWrite()
-		httpError(w, http.StatusConflict, "stale lease: progress fenced")
+		server.HTTPError(w, http.StatusConflict, "stale lease: progress fenced")
 		return
 	}
 	p := req.Progress
-	j.progress = &p
+	j.Progress = &p
 	c.mu.Unlock()
 	c.publish(server.Event{Type: "progress", Job: req.Job, Status: server.StatusRunning, Progress: &p})
-	writeJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
 }
 
 // publish routes an event to its job's broadcaster.
 func (c *Coordinator) publish(ev server.Event) {
 	c.mu.Lock()
-	j := c.jobs[ev.Job]
+	j := c.table.Get(ev.Job)
 	c.mu.Unlock()
 	if j != nil {
-		j.events.Publish(ev)
+		j.Events.Publish(ev)
 	}
 }

@@ -1,19 +1,18 @@
 package cluster
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
+
+	"repro/internal/server"
 )
 
-// clusterMetrics is the coordinator's Prometheus registry, hand-rolled
-// like the server's: counters under one mutex (lease-protocol cadence,
-// not per step), gauges sampled at scrape time.
+// clusterMetrics is the coordinator's Prometheus registry: the
+// admission counts the job API keeps, counters under one mutex
+// (lease-protocol cadence, not per step), gauges sampled at scrape
+// time.
 type clusterMetrics struct {
+	admissions    server.Admissions
 	mu            sync.Mutex
-	submitted     uint64
-	rejected      uint64
 	completed     map[string]uint64 // terminal status → count
 	leasesGranted uint64
 	leasesExpired uint64
@@ -21,7 +20,6 @@ type clusterMetrics struct {
 	takeovers     uint64
 	fencedWrites  uint64
 	hbRejected    uint64
-	deduped       uint64
 	rpcRetries    uint64
 	rpcTimeouts   uint64
 	// failovers counts this node's promotions from standby to leader;
@@ -44,14 +42,11 @@ func (m *clusterMetrics) inc(field *uint64) {
 	m.mu.Unlock()
 }
 
-func (m *clusterMetrics) onSubmit()      { m.inc(&m.submitted) }
-func (m *clusterMetrics) onReject()      { m.inc(&m.rejected) }
 func (m *clusterMetrics) onLeaseGrant()  { m.inc(&m.leasesGranted) }
 func (m *clusterMetrics) onLeaseExpire() { m.inc(&m.leasesExpired) }
 func (m *clusterMetrics) onFencedWrite() { m.inc(&m.fencedWrites) }
 
 func (m *clusterMetrics) onHeartbeatReject() { m.inc(&m.hbRejected) }
-func (m *clusterMetrics) onDedup()           { m.inc(&m.deduped) }
 
 func (m *clusterMetrics) onFailover()          { m.inc(&m.failovers) }
 func (m *clusterMetrics) onReplicationReject() { m.inc(&m.replRejected) }
@@ -109,54 +104,27 @@ type clusterGauges struct {
 func (m *clusterMetrics) render(g clusterGauges) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var b strings.Builder
+	var x server.Exposition
+	x.Gauge("dsasimd_cluster_role", "Coordinator role: 1 leader, 0 warm standby.", int64(g.role))
+	x.Gauge("dsasimd_cluster_workers_live", "Workers holding a current lease.", int64(g.workersLive))
+	x.Gauge("dsasimd_cluster_jobs_pending", "Jobs waiting for a worker assignment.", int64(g.jobsPending))
+	x.Gauge("dsasimd_cluster_replication_seq", "Replication watermark: last delta appended (leader) or applied (standby).", int64(g.replSeq))
+	x.GaugeFloat("dsasimd_cluster_replication_lag_seconds", "Replication staleness: seconds since the last accepted push (standby) or the most lagging standby's last ack (leader).", g.replLag)
+	server.Labelled(&x, "gauge", "dsasimd_cluster_worker_inflight", "Jobs currently leased, per live worker.", "worker", g.inflight)
 
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
-	gauge("dsasimd_cluster_role", "Coordinator role: 1 leader, 0 warm standby.", int64(g.role))
-	gauge("dsasimd_cluster_workers_live", "Workers holding a current lease.", int64(g.workersLive))
-	gauge("dsasimd_cluster_jobs_pending", "Jobs waiting for a worker assignment.", int64(g.jobsPending))
-	gauge("dsasimd_cluster_replication_seq", "Replication watermark: last delta appended (leader) or applied (standby).", int64(g.replSeq))
-	fmt.Fprintf(&b, "# HELP dsasimd_cluster_replication_lag_seconds Replication staleness: seconds since the last accepted push (standby) or the most lagging standby's last ack (leader).\n"+
-		"# TYPE dsasimd_cluster_replication_lag_seconds gauge\ndsasimd_cluster_replication_lag_seconds %g\n", g.replLag)
-
-	fmt.Fprintf(&b, "# HELP dsasimd_cluster_worker_inflight Jobs currently leased, per live worker.\n# TYPE dsasimd_cluster_worker_inflight gauge\n")
-	workers := make([]string, 0, len(g.inflight))
-	for w := range g.inflight {
-		workers = append(workers, w)
-	}
-	sort.Strings(workers)
-	for _, w := range workers {
-		fmt.Fprintf(&b, "dsasimd_cluster_worker_inflight{worker=%q} %d\n", w, g.inflight[w])
-	}
-
-	counter("dsasimd_cluster_leases_granted_total", "Worker leases granted at join.", m.leasesGranted)
-	counter("dsasimd_cluster_leases_expired_total", "Worker leases that lapsed without renewal.", m.leasesExpired)
-	counter("dsasimd_cluster_leases_revoked_total", "Job leases withdrawn from workers via heartbeat stop lists.", m.leasesRevoked)
-	counter("dsasimd_cluster_takeovers_total", "Jobs reassigned after their owner's lease expired.", m.takeovers)
-	counter("dsasimd_cluster_fenced_writes_total", "Stale-epoch completions and progress reports rejected with 409.", m.fencedWrites)
-	counter("dsasimd_cluster_heartbeats_rejected_total", "Heartbeats rejected with 409: unknown worker, stale session nonce, or replayed sequence number.", m.hbRejected)
-	counter("dsasimd_cluster_jobs_submitted_total", "Jobs accepted into the cluster job table.", m.submitted)
-	counter("dsasimd_cluster_jobs_rejected_total", "Submissions refused (table full or draining).", m.rejected)
-	counter("dsasimd_cluster_jobs_deduped_total", "Submissions replayed from an earlier job via Idempotency-Key.", m.deduped)
-	counter("dsasimd_cluster_rpc_retries_total", "Failed worker RPC attempts (any cause), reported via heartbeats.", m.rpcRetries)
-	counter("dsasimd_cluster_rpc_timeouts_total", "Worker RPC attempts that hit their context deadline, reported via heartbeats.", m.rpcTimeouts)
-	counter("dsasimd_cluster_failovers_total", "Promotions of this node from standby to leader.", m.failovers)
-	counter("dsasimd_cluster_replication_rejected_total", "Replication pushes fenced with 409: a deposed or forged leadership term.", m.replRejected)
-
-	fmt.Fprintf(&b, "# HELP dsasimd_cluster_jobs_completed_total Jobs finished, by terminal status.\n# TYPE dsasimd_cluster_jobs_completed_total counter\n")
-	statuses := make([]string, 0, len(m.completed))
-	for s := range m.completed {
-		statuses = append(statuses, s)
-	}
-	sort.Strings(statuses)
-	for _, s := range statuses {
-		fmt.Fprintf(&b, "dsasimd_cluster_jobs_completed_total{status=%q} %d\n", s, m.completed[s])
-	}
-	return b.String()
+	x.Counter("dsasimd_cluster_leases_granted_total", "Worker leases granted at join.", m.leasesGranted)
+	x.Counter("dsasimd_cluster_leases_expired_total", "Worker leases that lapsed without renewal.", m.leasesExpired)
+	x.Counter("dsasimd_cluster_leases_revoked_total", "Job leases withdrawn from workers via heartbeat stop lists.", m.leasesRevoked)
+	x.Counter("dsasimd_cluster_takeovers_total", "Jobs reassigned after their owner's lease expired.", m.takeovers)
+	x.Counter("dsasimd_cluster_fenced_writes_total", "Stale-epoch completions and progress reports rejected with 409.", m.fencedWrites)
+	x.Counter("dsasimd_cluster_heartbeats_rejected_total", "Heartbeats rejected with 409: unknown worker, stale session nonce, or replayed sequence number.", m.hbRejected)
+	x.Counter("dsasimd_cluster_jobs_submitted_total", "Jobs accepted into the cluster job table.", m.admissions.Submitted.Load())
+	x.Counter("dsasimd_cluster_jobs_rejected_total", "Submissions refused (table full or draining).", m.admissions.Rejected.Load())
+	x.Counter("dsasimd_cluster_jobs_deduped_total", "Submissions replayed from an earlier job via Idempotency-Key.", m.admissions.Deduped.Load())
+	x.Counter("dsasimd_cluster_rpc_retries_total", "Failed worker RPC attempts (any cause), reported via heartbeats.", m.rpcRetries)
+	x.Counter("dsasimd_cluster_rpc_timeouts_total", "Worker RPC attempts that hit their context deadline, reported via heartbeats.", m.rpcTimeouts)
+	x.Counter("dsasimd_cluster_failovers_total", "Promotions of this node from standby to leader.", m.failovers)
+	x.Counter("dsasimd_cluster_replication_rejected_total", "Replication pushes fenced with 409: a deposed or forged leadership term.", m.replRejected)
+	server.Labelled(&x, "counter", "dsasimd_cluster_jobs_completed_total", "Jobs finished, by terminal status.", "status", m.completed)
+	return x.String()
 }

@@ -1,39 +1,23 @@
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/server"
 	"repro/internal/snapshot"
 )
 
-// stateSection names the one section of the coordinator's state file —
-// a snapshot-container file (CRC-validated, written atomically) whose
-// JSON payload holds the job table, the lease table, and the counters.
-// The epoch counter is the load-bearing part: fencing only works if a
-// restarted coordinator never re-issues an epoch a zombie still holds.
+// stateSection names the coordinator's state-file section (see
+// server.SaveState), whose JSON payload holds the job table, the lease
+// table, and the counters. The epoch counter is the load-bearing part:
+// fencing only works if a restarted coordinator never re-issues an
+// epoch a zombie still holds.
 const stateSection = "dsasimd.cluster"
 
 // haSection is the extra section a standby's state file carries: which
 // leadership term the mirror belongs to and its applied replication
 // watermark, encoded with the snapshot codec.
 const haSection = "dsasimd.cluster.ha"
-
-type persistedJob struct {
-	ID      string             `json:"id"`
-	Spec    server.JobSpec     `json:"spec"`
-	Status  string             `json:"status"`
-	Owner   string             `json:"owner,omitempty"`
-	Epoch   uint64             `json:"epoch,omitempty"`
-	Resume  bool               `json:"resume,omitempty"`
-	IdemKey string             `json:"idem_key,omitempty"`
-	Queued  string             `json:"queued,omitempty"`
-	Result  *server.ResultJSON `json:"result,omitempty"`
-}
 
 type persistedWorker struct {
 	ID       string `json:"id"`
@@ -49,34 +33,15 @@ type clusterState struct {
 	NextJob    uint64            `json:"next_job"`
 	NextWorker uint64            `json:"next_worker"`
 	NextEpoch  uint64            `json:"next_epoch"`
-	Jobs       []persistedJob    `json:"jobs"`
+	Jobs       []server.JobRow   `json:"jobs"`
 	Workers    []persistedWorker `json:"workers,omitempty"`
-}
-
-// persistJobLocked renders one job as its persisted (and replicated)
-// form. The caller must hold c.mu.
-func (c *Coordinator) persistJobLocked(j *cjob) persistedJob {
-	return persistedJob{
-		ID:      j.id,
-		Spec:    j.spec,
-		Status:  j.status,
-		Owner:   j.owner,
-		Epoch:   j.epoch,
-		Resume:  j.resume,
-		IdemKey: j.idemKey,
-		Queued:  fmtTime(j.queued),
-		Result:  j.result,
-	}
 }
 
 // exportStateLocked renders the coordinator's whole persisted state —
 // the payload of both the state file and replication snapshot records.
 // The caller must hold c.mu.
 func (c *Coordinator) exportStateLocked() clusterState {
-	st := clusterState{NextJob: c.nextJob, NextWorker: c.nextWorker, NextEpoch: c.nextEpoch}
-	for _, jid := range c.order {
-		st.Jobs = append(st.Jobs, c.persistJobLocked(c.jobs[jid]))
-	}
+	st := clusterState{NextJob: c.table.LastID(), NextWorker: c.nextWorker, NextEpoch: c.nextEpoch, Jobs: c.table.Rows()}
 	for _, we := range c.workers {
 		st.Workers = append(st.Workers, persistedWorker{ID: we.id, Capacity: we.capacity, Session: we.session})
 	}
@@ -86,58 +51,22 @@ func (c *Coordinator) exportStateLocked() clusterState {
 // saveStateLocked writes the coordinator's tables crash-consistently.
 // The caller must hold c.mu. Failures are logged, never fatal.
 func (c *Coordinator) saveStateLocked() {
-	if c.cfg.StateFile == "" {
-		return
-	}
 	st := c.exportStateLocked()
-	payload, err := json.Marshal(st)
-	if err != nil {
-		c.cfg.Logf("dsasimd: saving cluster state: %v", err)
-		return
-	}
-	w := snapshot.Writer{Epoch: c.leaderEpoch}
-	w.Add(stateSection, payload)
-	if err := w.WriteFile(c.cfg.StateFile); err != nil {
+	if err := server.SaveState(c.cfg.StateFile, snapshot.Writer{Epoch: c.leaderEpoch}, stateSection, st); err != nil {
 		c.cfg.Logf("dsasimd: saving cluster state: %v", err)
 	}
-}
-
-// loadStateFile reads and decodes a coordinator state file. A missing
-// file returns (nil, nil) — a fresh start. A corrupt one is renamed
-// aside and reported.
-func loadStateFile(path string) (*clusterState, error) {
-	rd, err := snapshot.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		quarantine := path + ".bad"
-		_ = os.Rename(path, quarantine)
-		return nil, fmt.Errorf("cluster state %s unreadable (%w); moved to %s, starting fresh", path, err, quarantine)
-	}
-	payload, err := rd.Section(stateSection)
-	if err != nil {
-		return nil, fmt.Errorf("cluster state %s: %w", path, err)
-	}
-	var st clusterState
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return nil, fmt.Errorf("cluster state %s: %w", path, err)
-	}
-	return &st, nil
 }
 
 // restore loads a previous coordinator's tables from the state file.
 func (c *Coordinator) restore() error {
-	if c.cfg.StateFile == "" {
-		return nil
-	}
-	st, err := loadStateFile(c.cfg.StateFile)
-	if err != nil || st == nil {
+	var st clusterState
+	found, err := server.LoadState(c.cfg.StateFile, stateSection, &st)
+	if !found {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.adoptStateLocked(st)
+	c.adoptStateLocked(&st)
 	c.cfg.Logf("dsasimd: restored %d job(s), %d worker lease(s) from %s (epoch counter %d)",
 		len(st.Jobs), len(st.Workers), c.cfg.StateFile, st.NextEpoch)
 	return nil
@@ -151,7 +80,7 @@ func (c *Coordinator) restore() error {
 // grace TTL expires and takeover proceeds normally. The caller must
 // hold c.mu.
 func (c *Coordinator) adoptStateLocked(st *clusterState) {
-	c.nextJob, c.nextWorker, c.nextEpoch = st.NextJob, st.NextWorker, st.NextEpoch
+	c.nextWorker, c.nextEpoch = st.NextWorker, st.NextEpoch
 	grace := time.Now().Add(c.cfg.LeaseTTL)
 	for _, pw := range st.Workers {
 		// The sequence watermark is deliberately NOT carried over: the
@@ -168,45 +97,23 @@ func (c *Coordinator) adoptStateLocked(st *clusterState) {
 			jobs:     map[string]struct{}{},
 		}
 	}
-	for i := range st.Jobs {
-		pj := st.Jobs[i]
-		j := &cjob{
-			id:      pj.ID,
-			spec:    pj.Spec,
-			status:  pj.Status,
-			owner:   pj.Owner,
-			epoch:   pj.Epoch,
-			resume:  pj.Resume,
-			idemKey: pj.IdemKey,
-			result:  pj.Result,
-			events:  server.NewBroadcaster(),
-		}
-		if t, terr := time.Parse(time.RFC3339Nano, pj.Queued); terr == nil {
-			j.queued = t
-		}
-		c.jobs[j.id] = j
-		c.order = append(c.order, j.id)
-		if j.idemKey != "" {
-			c.idem[j.idemKey] = j.id
-		}
-		if server.Terminal(j.status) {
-			if j.result != nil {
-				j.events.Publish(server.Event{Type: "done", Job: j.id, Status: j.status, Result: j.result})
-			}
+	c.table.Restore(st.Jobs, st.NextJob)
+	for _, j := range c.table.Jobs() {
+		if server.Terminal(j.Status) {
 			continue
 		}
-		if j.owner != "" {
-			if we := c.workers[j.owner]; we != nil {
+		if j.Owner != "" {
+			if we := c.workers[j.Owner]; we != nil {
 				// The lease survives the restart; if the worker still
 				// runs the job, its next heartbeat simply confirms it.
-				we.jobs[j.id] = struct{}{}
-				j.resume = true
+				we.jobs[j.ID] = struct{}{}
+				j.Resume = true
 			} else {
 				// Owner not in the persisted lease table (crashed before
 				// the last save): requeue for takeover.
-				j.owner = ""
-				j.resume = true
-				j.status = server.StatusQueued
+				j.Owner = ""
+				j.Resume = true
+				j.Status = server.StatusQueued
 			}
 		}
 	}
@@ -217,18 +124,10 @@ func (c *Coordinator) adoptStateLocked(st *clusterState) {
 // it reflects — the best available starting point if the whole cluster
 // restarts cold.
 func saveStandbyState(path string, st *clusterState, leaderEpoch, lastSeq uint64) error {
-	if path == "" {
-		return nil
-	}
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return err
-	}
 	var e snapshot.Enc
 	e.U64(leaderEpoch)
 	e.U64(lastSeq)
 	w := snapshot.Writer{Epoch: leaderEpoch}
-	w.Add(stateSection, payload)
 	w.Add(haSection, e.Bytes())
-	return w.WriteFile(path)
+	return server.SaveState(path, w, stateSection, st)
 }

@@ -284,14 +284,6 @@ type Event struct {
 	Result   *ResultJSON   `json:"result,omitempty"`
 }
 
-// fmtTime renders a timestamp for JobView ("" for the zero time).
-func fmtTime(t time.Time) string {
-	if t.IsZero() {
-		return ""
-	}
-	return t.UTC().Format(time.RFC3339Nano)
-}
-
 // trimSourceName keeps client-supplied names filesystem- and
 // metrics-safe: the service uses job IDs for files, so this only
 // guards log readability.

@@ -85,16 +85,15 @@ func (b *Broadcaster) Publish(ev Event) {
 	}
 }
 
-// StreamEvents serves one job's Broadcaster as a server-sent-event
+// streamEvents serves one job's Broadcaster as a server-sent-event
 // stream until the job's terminal event or client disconnect. status
 // is the job's state at call time: non-terminal states open the stream
 // with a status snapshot; terminal jobs get their replayed "done" from
-// the subscription instead. Shared by the standalone daemon and the
-// cluster coordinator so both speak the same SSE wire format.
-func StreamEvents(w http.ResponseWriter, r *http.Request, b *Broadcaster, jobID, status string) {
+// the subscription instead.
+func streamEvents(w http.ResponseWriter, r *http.Request, b *Broadcaster, jobID, status string) {
 	fl, canFlush := w.(http.Flusher)
 	if !canFlush {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		HTTPError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 

@@ -1,28 +1,23 @@
 package server
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
 
-// metrics is the service's Prometheus registry — hand-rolled, since
-// the repo takes no dependencies: counters and histograms guarded by
-// one mutex (updates happen at job-lifecycle cadence, not per step),
-// gauges sampled at scrape time by the server.
+// metrics is the service's Prometheus registry: the admission counts
+// the API keeps, counters and histograms guarded by one mutex (updates
+// happen at job-lifecycle cadence, not per step), gauges sampled at
+// scrape time by the server.
 type metrics struct {
+	admissions  Admissions
 	mu          sync.Mutex
-	submitted   uint64
-	rejected    uint64
-	deduped     uint64
 	completed   map[string]uint64 // terminal status → count
 	interrupted uint64
 	resumed     uint64
 	retries     uint64
-	duration    *histogram // job wall time, seconds
-	throughput  *histogram // retired steps per wall second
+	duration    *Histogram // job wall time, seconds
+	throughput  *Histogram // retired steps per wall second
 
 	// Adaptive-policy counters, summed over terminal jobs run with the
 	// "adaptive" config (zero otherwise).
@@ -38,31 +33,13 @@ func newMetrics() *metrics {
 	return &metrics{
 		completed: map[string]uint64{"ok": 0, "degraded": 0, "failed": 0},
 		// Wall-time buckets: 1ms to ~2min in decades.
-		duration: newHistogram(0.001, 0.01, 0.1, 0.5, 1, 5, 15, 60, 120),
+		duration: NewHistogram(0.001, 0.01, 0.1, 0.5, 1, 5, 15, 60, 120),
 		// Step-throughput buckets: 100k/s to 200M/s.
-		throughput: newHistogram(1e5, 1e6, 5e6, 1e7, 5e7, 1e8, 2e8),
+		throughput: NewHistogram(1e5, 1e6, 5e6, 1e7, 5e7, 1e8, 2e8),
 		energyNJ: map[string]float64{
 			"front_end": 0, "scalar": 0, "caches": 0, "neon": 0, "dsa": 0,
 		},
 	}
-}
-
-func (m *metrics) onSubmit() {
-	m.mu.Lock()
-	m.submitted++
-	m.mu.Unlock()
-}
-
-func (m *metrics) onReject() {
-	m.mu.Lock()
-	m.rejected++
-	m.mu.Unlock()
-}
-
-func (m *metrics) onDedup() {
-	m.mu.Lock()
-	m.deduped++
-	m.mu.Unlock()
 }
 
 func (m *metrics) onInterrupt() {
@@ -86,9 +63,9 @@ func (m *metrics) onDone(r ResultJSON, wall time.Duration) {
 		m.retries += uint64(r.Attempts - 1)
 	}
 	sec := wall.Seconds()
-	m.duration.observe(sec)
+	m.duration.Observe(sec)
 	if sec > 0 && r.Steps > 0 {
-		m.throughput.observe(float64(r.Steps) / sec)
+		m.throughput.Observe(float64(r.Steps) / sec)
 	}
 	m.policyKept += r.PolicyKept
 	m.policySuspended += r.PolicySuspended
@@ -112,94 +89,32 @@ type gauges struct {
 }
 
 // render writes the whole registry in Prometheus text exposition
-// format (version 0.0.4), deterministically ordered.
+// format, deterministically ordered.
 func (m *metrics) render(g gauges) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var b strings.Builder
+	var x Exposition
+	x.Gauge("dsasimd_queue_depth", "Jobs admitted and waiting for a worker.", int64(g.queueDepth))
+	x.Gauge("dsasimd_queue_capacity", "Bounded queue capacity.", int64(g.queueCapacity))
+	x.Gauge("dsasimd_jobs_inflight", "Jobs currently executing on the worker pool.", g.inflight)
+	x.Gauge("dsasimd_mem_inflight_bytes", "In-flight memory budget occupancy.", g.memInUse)
+	x.Gauge("dsasimd_mem_budget_bytes", "In-flight memory budget capacity (0 = unlimited).", g.memCapacity)
 
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
+	x.Counter("dsasimd_jobs_submitted_total", "Jobs accepted into the queue.", m.admissions.Submitted.Load())
+	x.Counter("dsasimd_jobs_rejected_total", "Submissions refused with 429 (queue full) or 503 (draining).", m.admissions.Rejected.Load())
+	x.Counter("dsasimd_jobs_deduped_total", "Submissions replayed from an earlier job via Idempotency-Key.", m.admissions.Deduped.Load())
+	Labelled(&x, "counter", "dsasimd_jobs_completed_total", "Jobs finished, by terminal status.", "status", m.completed)
 
-	gauge("dsasimd_queue_depth", "Jobs admitted and waiting for a worker.", int64(g.queueDepth))
-	gauge("dsasimd_queue_capacity", "Bounded queue capacity.", int64(g.queueCapacity))
-	gauge("dsasimd_jobs_inflight", "Jobs currently executing on the worker pool.", g.inflight)
-	gauge("dsasimd_mem_inflight_bytes", "In-flight memory budget occupancy.", g.memInUse)
-	gauge("dsasimd_mem_budget_bytes", "In-flight memory budget capacity (0 = unlimited).", g.memCapacity)
+	x.Counter("dsasimd_jobs_interrupted_total", "Jobs checkpointed and unwound by a drain.", m.interrupted)
+	x.Counter("dsasimd_jobs_resumed_total", "Jobs restored from a checkpoint after a restart.", m.resumed)
+	x.Counter("dsasimd_job_retries_total", "Extra attempts across all jobs (degradation reruns included).", m.retries)
 
-	counter("dsasimd_jobs_submitted_total", "Jobs accepted into the queue.", m.submitted)
-	counter("dsasimd_jobs_rejected_total", "Submissions refused with 429 (queue full) or 503 (draining).", m.rejected)
-	counter("dsasimd_jobs_deduped_total", "Submissions replayed from an earlier job via Idempotency-Key.", m.deduped)
+	x.Counter("dsasimd_policy_takeovers_kept_total", "Adaptive-policy takeovers judged a win by the per-loop ledger.", m.policyKept)
+	x.Counter("dsasimd_policy_takeovers_suspended_total", "Adaptive-policy suspensions (loops benched after repeated losses).", m.policySuspended)
+	x.Counter("dsasimd_policy_takeovers_trialed_total", "Adaptive-policy trial entries granted to suspended loops.", m.policyTrialed)
+	Labelled(&x, "counter", "dsasimd_energy_nanojoules_total", "Modeled energy over successful jobs, by component.", "component", m.energyNJ)
 
-	fmt.Fprintf(&b, "# HELP dsasimd_jobs_completed_total Jobs finished, by terminal status.\n# TYPE dsasimd_jobs_completed_total counter\n")
-	statuses := make([]string, 0, len(m.completed))
-	for s := range m.completed {
-		statuses = append(statuses, s)
-	}
-	sort.Strings(statuses)
-	for _, s := range statuses {
-		fmt.Fprintf(&b, "dsasimd_jobs_completed_total{status=%q} %d\n", s, m.completed[s])
-	}
-
-	counter("dsasimd_jobs_interrupted_total", "Jobs checkpointed and unwound by a drain.", m.interrupted)
-	counter("dsasimd_jobs_resumed_total", "Jobs restored from a checkpoint after a restart.", m.resumed)
-	counter("dsasimd_job_retries_total", "Extra attempts across all jobs (degradation reruns included).", m.retries)
-
-	counter("dsasimd_policy_takeovers_kept_total", "Adaptive-policy takeovers judged a win by the per-loop ledger.", m.policyKept)
-	counter("dsasimd_policy_takeovers_suspended_total", "Adaptive-policy suspensions (loops benched after repeated losses).", m.policySuspended)
-	counter("dsasimd_policy_takeovers_trialed_total", "Adaptive-policy trial entries granted to suspended loops.", m.policyTrialed)
-
-	fmt.Fprintf(&b, "# HELP dsasimd_energy_nanojoules_total Modeled energy over successful jobs, by component.\n# TYPE dsasimd_energy_nanojoules_total counter\n")
-	comps := make([]string, 0, len(m.energyNJ))
-	for c := range m.energyNJ {
-		comps = append(comps, c)
-	}
-	sort.Strings(comps)
-	for _, c := range comps {
-		fmt.Fprintf(&b, "dsasimd_energy_nanojoules_total{component=%q} %g\n", c, m.energyNJ[c])
-	}
-
-	m.duration.render(&b, "dsasimd_job_duration_seconds", "Terminal job wall time in seconds.")
-	m.throughput.render(&b, "dsasimd_job_steps_per_second", "Retired simulation steps per wall second, per terminal job.")
-	return b.String()
-}
-
-// histogram is a fixed-bucket Prometheus histogram.
-type histogram struct {
-	bounds []float64
-	counts []uint64
-	sum    float64
-	total  uint64
-}
-
-func newHistogram(bounds ...float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]uint64, len(bounds))}
-}
-
-func (h *histogram) observe(v float64) {
-	for i, ub := range h.bounds {
-		if v <= ub {
-			h.counts[i]++
-		}
-	}
-	h.sum += v
-	h.total++
-}
-
-func (h *histogram) render(b *strings.Builder, name, help string) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for i, ub := range h.bounds {
-		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, formatBound(ub), h.counts[i])
-	}
-	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, h.total)
-	fmt.Fprintf(b, "%s_sum %g\n", name, h.sum)
-	fmt.Fprintf(b, "%s_count %d\n", name, h.total)
-}
-
-func formatBound(v float64) string {
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", v), "0"), ".")
+	x.Histogram("dsasimd_job_duration_seconds", "Terminal job wall time in seconds.", m.duration)
+	x.Histogram("dsasimd_job_steps_per_second", "Retired simulation steps per wall second, per terminal job.", m.throughput)
+	return x.String()
 }

@@ -2,15 +2,13 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/snapshot"
 )
 
 // Config parameterizes the service.
@@ -36,10 +34,6 @@ type Config struct {
 	// random jitter above this base so a rejected fleet does not
 	// reconverge on one retry instant.
 	RetryAfter time.Duration
-	// Ready, when set, contributes to GET /readyz: a non-nil error
-	// marks the instance not ready with that reason (a cluster worker
-	// reports its lease state here). Liveness (/healthz) is unaffected.
-	Ready func() error
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -50,47 +44,25 @@ const (
 	DefaultRetryAfter = 2 * time.Second
 )
 
-// jobState is one job's in-memory record. Mutable fields are guarded
-// by Server.mu; events has its own lock.
-type jobState struct {
-	id     string
-	spec   JobSpec
-	status string
-	queued time.Time
-	// started/finished bracket the job's time on the pool.
-	started  time.Time
-	finished time.Time
-	progress *ProgressJSON
-	result   *ResultJSON
-	// resume marks a job re-queued after a drain or restart: its first
-	// attempt restores from its checkpoint file.
-	resume bool
-	// idemKey, when set, is the Idempotency-Key the job was submitted
-	// under; later submissions with the same key replay this job.
-	idemKey string
-	events  *Broadcaster
-}
-
 // Server is the dsasimd service core, transport-agnostic: Handler
-// serves its HTTP API, Drain runs the graceful shutdown. One Server
-// owns one runner.Pool for its whole life.
+// serves its HTTP API (the shared job API over its table), Drain runs
+// the graceful shutdown. One Server owns one runner.Pool for its whole
+// life.
 type Server struct {
+	*API
 	cfg     Config
 	pool    *runner.Pool
-	queue   chan *jobState
+	queue   chan *Job
 	stopCh  chan struct{}
 	wg      sync.WaitGroup
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	metrics *metrics
 
-	mu     sync.Mutex
-	jobs   map[string]*jobState
-	order  []string
-	nextID int
-	// idem maps Idempotency-Key → job ID; persisted with the job
-	// table, so the dedup survives a restart.
-	idem map[string]string
+	// mu guards the job table, persisted with its Idempotency-Key
+	// index so the dedup survives a restart.
+	mu    sync.Mutex
+	table *Table
 
 	drainOnce sync.Once
 }
@@ -111,13 +83,19 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:     cfg,
-		queue:   make(chan *jobState, cfg.QueueDepth),
+		queue:   make(chan *Job, cfg.QueueDepth),
 		stopCh:  make(chan struct{}),
 		metrics: newMetrics(),
-		jobs:    map[string]*jobState{},
-		idem:    map[string]string{},
-		nextID:  1,
+		table:   NewTable(),
 	}
+	s.API = NewAPI(&s.mu, s.table, Daemon{
+		Draining: func() bool { return s.pool.Draining() },
+		Refuse:   s.refuseLocked,
+		Admitted: s.admittedLocked,
+		Unready:  s.unready,
+		Metrics:  s.Metrics,
+		Counts:   &s.metrics.admissions,
+	})
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 
 	ropts := cfg.Runner
@@ -143,58 +121,45 @@ func New(cfg Config) (*Server, error) {
 
 // restore loads the persisted job table and re-queues unfinished work.
 func (s *Server) restore() error {
-	st, err := loadState(s.cfg.StateFile)
-	if st == nil {
+	var st stateFile
+	found, err := LoadState(s.cfg.StateFile, stateSection, &st)
+	if !found {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextID = st.NextID
+	s.table.Restore(st.Jobs, st.lastID())
 	requeued := 0
-	for i := range st.Jobs {
-		pj := st.Jobs[i]
-		js := &jobState{
-			id:      pj.ID,
-			spec:    pj.Spec,
-			status:  pj.Status,
-			idemKey: pj.IdemKey,
-			result:  pj.Result,
-			events:  NewBroadcaster(),
-		}
-		if t, terr := time.Parse(time.RFC3339Nano, pj.Queued); terr == nil {
-			js.queued = t
-		}
-		s.jobs[js.id] = js
-		s.order = append(s.order, js.id)
-		if js.idemKey != "" {
-			s.idem[js.idemKey] = js.id
-		}
-		if Terminal(js.status) {
-			if js.result != nil {
-				done := Event{Type: "done", Job: js.id, Status: js.status, Result: js.result}
-				js.events.Publish(done)
-			}
+	for _, j := range s.table.Jobs() {
+		if Terminal(j.Status) {
 			continue
 		}
 		// Interrupted and mid-run jobs resume from their checkpoint;
 		// queued ones simply run (their resume finds no file and
 		// starts clean).
-		js.resume = js.status != StatusQueued
-		js.status = StatusQueued
+		j.Resume = j.Resume || j.Status != StatusQueued
+		j.Status = StatusQueued
 		select {
-		case s.queue <- js:
+		case s.queue <- j:
 			requeued++
 		default:
 			// More surviving jobs than queue slots: keep them queued in
 			// the table; they re-enter on the next restart. This can
 			// only happen when QueueDepth shrank across the restart.
-			s.cfg.Logf("dsasimd: job %s does not fit the shrunken queue; parked", js.id)
+			s.cfg.Logf("dsasimd: job %s does not fit the shrunken queue; parked", j.ID)
 		}
 	}
 	if requeued > 0 {
 		s.cfg.Logf("dsasimd: restored %d job(s) from %s, %d re-queued", len(st.Jobs), s.cfg.StateFile, requeued)
 	}
-	return err
+	return nil
+}
+
+// saveStateLocked writes the job table crash-consistently. The caller
+// must hold s.mu.
+func (s *Server) saveStateLocked() error {
+	st := stateFile{NextID: s.table.LastID() + 1, Jobs: s.table.Rows()}
+	return SaveState(s.cfg.StateFile, snapshot.Writer{}, stateSection, st)
 }
 
 // worker pulls admitted jobs until the server drains or closes.
@@ -207,166 +172,109 @@ func (s *Server) worker() {
 		select {
 		case <-s.stopCh:
 			return
-		case js := <-s.queue:
-			s.runOne(js)
+		case j := <-s.queue:
+			s.runOne(j)
 		}
 	}
 }
 
 // runOne executes one admitted job through the pool and publishes its
 // lifecycle.
-func (s *Server) runOne(js *jobState) {
-	job, err := js.spec.RunnerJob(js.id)
+func (s *Server) runOne(j *Job) {
+	job, err := j.Spec.RunnerJob(j.ID)
 	if err != nil {
 		// Validate() gates submissions, so this is a state-file edit or
 		// a workload renamed across versions — fail the job, keep the
 		// service.
-		s.finish(js, ResultJSON{Job: js.id, Status: string(runner.StatusFailed), Cause: "bad-spec", Error: err.Error()})
+		s.finish(j, ResultJSON{Job: j.ID, Status: string(runner.StatusFailed), Cause: "bad-spec", Error: err.Error()})
 		return
 	}
-	job.Resume = js.resume
 
 	s.mu.Lock()
-	js.status = StatusRunning
-	js.started = time.Now()
+	job.Resume = j.Resume
+	j.Status = StatusRunning
+	j.Started = time.Now()
 	s.mu.Unlock()
-	js.events.Publish(Event{Type: "status", Job: js.id, Status: StatusRunning})
+	j.Events.Publish(Event{Type: "status", Job: j.ID, Status: StatusRunning})
 
 	res := s.pool.Do(s.baseCtx, job)
 
 	if res.Status == runner.StatusFailed && res.Cause == runner.CauseDrained {
 		s.mu.Lock()
-		js.status = StatusInterrupted
-		js.resume = true
+		j.Status = StatusInterrupted
+		j.Resume = true
 		s.mu.Unlock()
 		s.metrics.onInterrupt()
-		js.events.Publish(Event{Type: "status", Job: js.id, Status: StatusInterrupted})
-		s.cfg.Logf("dsasimd: job %s interrupted by drain (checkpoint kept)", js.id)
+		j.Events.Publish(Event{Type: "status", Job: j.ID, Status: StatusInterrupted})
+		s.cfg.Logf("dsasimd: job %s interrupted by drain (checkpoint kept)", j.ID)
 		return
 	}
 	if res.ResumedFromStep > 0 {
 		s.metrics.onResume()
 	}
-	s.finish(js, ResultFromRunner(res))
+	s.finish(j, ResultFromRunner(res))
 }
 
 // finish records a terminal result, persists the table, and notifies.
-func (s *Server) finish(js *jobState, r ResultJSON) {
+func (s *Server) finish(j *Job, r ResultJSON) {
 	s.mu.Lock()
-	js.status = r.Status
-	js.finished = time.Now()
-	js.result = &r
-	wall := js.finished.Sub(js.started)
+	j.Status = r.Status
+	j.Finished = time.Now()
+	j.Result = &r
+	wall := j.Finished.Sub(j.Started)
 	if err := s.saveStateLocked(); err != nil {
 		s.cfg.Logf("dsasimd: saving state: %v", err)
 	}
 	s.mu.Unlock()
 	s.metrics.onDone(r, wall)
-	js.events.Publish(Event{Type: "done", Job: js.id, Status: r.Status, Result: &r})
-	s.cfg.Logf("dsasimd: job %s %s (attempts=%d wall=%s)", js.id, r.Status, r.Attempts, wall.Round(time.Millisecond))
+	j.Events.Publish(Event{Type: "done", Job: j.ID, Status: r.Status, Result: &r})
+	s.cfg.Logf("dsasimd: job %s %s (attempts=%d wall=%s)", j.ID, r.Status, r.Attempts, wall.Round(time.Millisecond))
 }
 
 // onProgress routes pool progress samples to their job.
 func (s *Server) onProgress(p runner.Progress) {
 	s.mu.Lock()
-	js := s.jobs[p.Job]
+	j := s.table.Get(p.Job)
 	var pj *ProgressJSON
-	if js != nil {
+	if j != nil {
 		pj = &ProgressJSON{Job: p.Job, Attempt: p.Attempt, DSAOff: p.DSAOff,
 			Steps: p.Steps, Ticks: p.Ticks, Takeovers: p.Takeovers, Fallbacks: p.Fallbacks}
-		js.progress = pj
+		j.Progress = pj
 	}
 	s.mu.Unlock()
-	if js != nil {
-		js.events.Publish(Event{Type: "progress", Job: p.Job, Status: StatusRunning, Progress: pj})
+	if j != nil {
+		j.Events.Publish(Event{Type: "progress", Job: p.Job, Status: StatusRunning, Progress: pj})
 	}
 }
 
-// Submit admits a job. It returns the assigned ID, or an admissionError
-// carrying the HTTP status the transport should answer with. A
-// non-empty idemKey matching an earlier submission replays that job
-// (deduped=true) instead of creating a twin — checked before the
-// draining and queue-full refusals, so a client retrying after an
-// ambiguous success always converges on the job it already created.
-func (s *Server) Submit(spec JobSpec, idemKey string) (view *JobView, deduped bool, err error) {
-	spec.Name = trimSourceName(spec.Name)
-	s.mu.Lock()
-	if idemKey != "" {
-		if jid, ok := s.idem[idemKey]; ok {
-			v := s.viewLocked(s.jobs[jid])
-			s.mu.Unlock()
-			s.metrics.onDedup()
-			return &v, true, nil
-		}
+// refuseLocked turns a submission away when the admission queue is
+// full. Only submissions, serialized by s.mu, send to the queue once
+// the server runs, so a slot seen here is still free in
+// admittedLocked.
+func (s *Server) refuseLocked() *AdmissionError {
+	if len(s.queue) < s.cfg.QueueDepth {
+		return nil
 	}
-	if verr := spec.Validate(); verr != nil {
-		s.mu.Unlock()
-		return nil, false, &admissionError{code: http.StatusBadRequest, msg: verr.Error()}
-	}
-	if s.pool.Draining() {
-		s.mu.Unlock()
-		s.metrics.onReject()
-		return nil, false, &admissionError{code: http.StatusServiceUnavailable, msg: "draining"}
-	}
-	id := fmt.Sprintf("j%06d", s.nextID)
-	js := &jobState{id: id, spec: spec, status: StatusQueued, idemKey: idemKey, queued: time.Now(), events: NewBroadcaster()}
-	select {
-	case s.queue <- js:
-	default:
-		s.mu.Unlock()
-		s.metrics.onReject()
-		return nil, false, &admissionError{code: http.StatusTooManyRequests,
-			msg: fmt.Sprintf("queue full (%d jobs waiting)", s.cfg.QueueDepth), retryAfter: s.cfg.RetryAfter}
-	}
-	s.nextID++
-	s.jobs[id] = js
-	s.order = append(s.order, id)
-	if idemKey != "" {
-		s.idem[idemKey] = id
-	}
+	return &AdmissionError{Code: http.StatusTooManyRequests,
+		Msg: fmt.Sprintf("queue full (%d jobs waiting)", s.cfg.QueueDepth), RetryAfter: s.cfg.RetryAfter}
+}
+
+// admittedLocked queues a job the API just entered in the table and
+// persists the table.
+func (s *Server) admittedLocked(j *Job) {
+	s.queue <- j
 	if err := s.saveStateLocked(); err != nil {
 		s.cfg.Logf("dsasimd: saving state: %v", err)
 	}
-	v := s.viewLocked(js)
-	s.mu.Unlock()
-	s.metrics.onSubmit()
-	return &v, false, nil
 }
 
-// Job returns one job's current view.
-func (s *Server) Job(id string) (*JobView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	js, ok := s.jobs[id]
-	if !ok {
-		return nil, false
+// unready is the readiness reason beyond draining: a full admission
+// queue.
+func (s *Server) unready() string {
+	if len(s.queue) >= s.cfg.QueueDepth {
+		return "queue full"
 	}
-	v := s.viewLocked(js)
-	return &v, true
-}
-
-// Jobs lists every job in submission order.
-func (s *Server) Jobs() []JobView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobView, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.viewLocked(s.jobs[id]))
-	}
-	return out
-}
-
-func (s *Server) viewLocked(js *jobState) JobView {
-	return JobView{
-		ID:       js.id,
-		Status:   js.status,
-		Spec:     js.spec,
-		Queued:   fmtTime(js.queued),
-		Started:  fmtTime(js.started),
-		Finished: fmtTime(js.finished),
-		Progress: js.progress,
-		Result:   js.result,
-	}
+	return ""
 }
 
 // Drain is the graceful-shutdown path: refuse new work, ask every
@@ -418,143 +326,9 @@ func (s *Server) Metrics() string {
 	})
 }
 
-// admissionError carries the HTTP answer for a refused submission.
-type admissionError struct {
-	code       int
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *admissionError) Error() string { return e.msg }
-
-// JitterSeconds renders a Retry-After duration as whole seconds with
-// random positive jitter of up to ~25% of the base: every rejected
-// client backing off the literal hint would otherwise return in one
-// synchronized wave and re-trip the same full queue. Shared with the
-// cluster coordinator's admission path.
-func JitterSeconds(d time.Duration) int {
-	base := int((d + time.Second - 1) / time.Second)
-	return base + rand.Intn(2+base/4)
-}
-
 // Handler returns the service's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /readyz", s.handleReady)
+	s.Register(mux)
 	return mux
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	view, deduped, err := s.Submit(spec, r.Header.Get("Idempotency-Key"))
-	if err != nil {
-		var ae *admissionError
-		if !errors.As(err, &ae) {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		if ae.retryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", JitterSeconds(ae.retryAfter)))
-		}
-		httpError(w, ae.code, ae.msg)
-		return
-	}
-	if deduped {
-		w.Header().Set("Idempotency-Replayed", "true")
-	}
-	writeJSON(w, http.StatusAccepted, view)
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleEvents streams a job's lifecycle as server-sent events until
-// the job finishes or the client disconnects. A client attaching after
-// completion receives the terminal event immediately.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	js, ok := s.jobs[r.PathValue("id")]
-	var status string
-	if ok {
-		status = js.status
-	}
-	s.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	StreamEvents(w, r, js.events, js.id, status)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, s.Metrics())
-}
-
-// handleHealth is pure liveness: the process is up and serving. It
-// stays 200 through a drain — a draining instance is alive, just not
-// accepting work; that distinction belongs to /readyz.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	state := "ok"
-	if s.pool.Draining() {
-		state = "draining"
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": state})
-}
-
-// handleReady is readiness: 200 only when the instance can usefully
-// accept a submission right now — not draining, admission queue not
-// full, and any configured Ready hook content (a cluster worker's
-// lease currency). Anything else is 503 with the first failing reason.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	reason := ""
-	switch {
-	case s.pool.Draining():
-		reason = "draining"
-	case len(s.queue) >= s.cfg.QueueDepth:
-		reason = "queue full"
-	default:
-		if s.cfg.Ready != nil {
-			if err := s.cfg.Ready(); err != nil {
-				reason = err.Error()
-			}
-		}
-	}
-	if reason != "" {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "unready", "reason": reason})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

@@ -9,80 +9,78 @@ import (
 	"repro/internal/snapshot"
 )
 
-// stateSection names the one section of the daemon's job-state file —
-// a snapshot-container file ("DSNP" magic, CRC-validated, written
-// atomically) whose payload is JSON: the surviving job table and the
-// ID counter. Per-job simulation state lives in the runner's own
-// checkpoint files; this file only records *which* jobs exist and
-// where they stood, so a restarted daemon can re-queue and resume.
-const stateSection = "dsasimd.jobs"
+// A state file is a snapshot container ("DSNP" magic, CRC-validated,
+// written atomically) with one section whose payload is a daemon's
+// job table as JSON. Per-job simulation state lives in the runner's
+// own checkpoint files; the state file only records which jobs exist
+// and where they stood, so a restarted daemon can re-queue and resume.
 
-// persistedJob is one job's durable row.
-type persistedJob struct {
-	ID      string      `json:"id"`
-	Spec    JobSpec     `json:"spec"`
-	Status  string      `json:"status"`
-	IdemKey string      `json:"idem_key,omitempty"`
-	Queued  string      `json:"queued,omitempty"`
-	Result  *ResultJSON `json:"result,omitempty"`
-}
-
-// stateFile is the payload of the state section.
-type stateFile struct {
-	NextID int            `json:"next_id"`
-	Jobs   []persistedJob `json:"jobs"`
-}
-
-// saveState writes the daemon's job table crash-consistently. The
-// caller must hold s.mu.
-func (s *Server) saveStateLocked() error {
-	if s.cfg.StateFile == "" {
+// SaveState adds section, holding v as JSON, to w and writes w to path
+// crash-consistently. w carries the header epoch and any sections that
+// precede the state. An empty path disables persistence.
+func SaveState(path string, w snapshot.Writer, section string, v any) error {
+	if path == "" {
 		return nil
 	}
-	st := stateFile{NextID: s.nextID}
-	for _, id := range s.order {
-		js := s.jobs[id]
-		st.Jobs = append(st.Jobs, persistedJob{
-			ID:      js.id,
-			Spec:    js.spec,
-			Status:  js.status,
-			IdemKey: js.idemKey,
-			Queued:  fmtTime(js.queued),
-			Result:  js.result,
-		})
-	}
-	payload, err := json.Marshal(st)
+	payload, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	var w snapshot.Writer
-	w.Add(stateSection, payload)
-	return w.WriteFile(s.cfg.StateFile)
+	w.Add(section, payload)
+	return w.WriteFile(path)
 }
 
-// loadState reads a previous daemon's job table. A missing file means
-// a fresh start; a corrupt or mismatched file is renamed aside (never
-// silently overwritten) and reported, also starting fresh.
-func loadState(path string) (*stateFile, error) {
+// LoadState decodes the JSON payload of section from the state file at
+// path into v, reporting whether it did. An empty path or a missing
+// file is a fresh start: found is false, err nil. A file that fails
+// the container's checks is renamed aside (never silently overwritten)
+// and reported; a readable file whose section is missing or whose
+// payload does not decode is reported too. Both also start fresh.
+func LoadState(path, section string, v any) (found bool, err error) {
 	if path == "" {
-		return nil, nil
+		return false, nil
 	}
 	rd, err := snapshot.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
+			return false, nil
 		}
 		quarantine := path + ".bad"
+		// Best effort: if the rename fails too, the next save still
+		// replaces the damaged file atomically.
 		_ = os.Rename(path, quarantine)
-		return nil, fmt.Errorf("state file %s unreadable (%w); moved to %s, starting fresh", path, err, quarantine)
+		return false, fmt.Errorf("state file %s unreadable (%w); moved to %s, starting fresh", path, err, quarantine)
 	}
-	payload, err := rd.Section(stateSection)
+	if err := decodeState(rd, section, v); err != nil {
+		return false, fmt.Errorf("state file %s: %w", path, err)
+	}
+	return true, nil
+}
+
+// decodeState decodes the JSON payload of section from a validated
+// container into v.
+func decodeState(rd *snapshot.Reader, section string, v any) error {
+	payload, err := rd.Section(section)
 	if err != nil {
-		return nil, fmt.Errorf("state file %s: %w", path, err)
+		return err
 	}
-	var st stateFile
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return nil, fmt.Errorf("state file %s: %w", path, err)
+	return json.Unmarshal(payload, v)
+}
+
+// stateSection names the standalone daemon's state-file section.
+const stateSection = "dsasimd.jobs"
+
+// stateFile is the standalone daemon's state payload. NextID is the
+// next job number to issue.
+type stateFile struct {
+	NextID uint64   `json:"next_id"`
+	Jobs   []JobRow `json:"jobs"`
+}
+
+// lastID is the highest job number the table had issued.
+func (st *stateFile) lastID() uint64 {
+	if st.NextID == 0 {
+		return 0
 	}
-	return &st, nil
+	return st.NextID - 1
 }
