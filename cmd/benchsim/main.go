@@ -6,9 +6,9 @@
 // Unlike bench_test.go, which reports the *simulated machine's*
 // behaviour (ticks, speedups, energy), this tool times the simulator
 // itself: wall-clock per workload run, in scalar mode and under the
-// original, extended and adaptive DSA systems. Machine construction
-// and workload setup are excluded — they are one-time costs dominated
-// by zeroing the 16 MiB memory image, not interpreter work.
+// original and extended DSA systems. Machine construction and workload
+// setup are excluded — they are one-time costs dominated by zeroing
+// the 16 MiB memory image, not interpreter work.
 //
 // Under a DSA mode the scalar core retires FEWER instructions for the
 // same workload (vectorized windows execute on the NEON model), so
@@ -33,15 +33,6 @@
 // exits non-zero when it regressed by more than -slack (default 10%).
 // The ratio — not absolute wall time — is compared, so the gate is
 // meaningful on CI hosts of any speed.
-//
-// The adaptive gate is same-run and always on: per workload, the
-// dsa-adaptive SIMULATED ticks must not exceed min(scalar,
-// dsa-extended) × -slack, and its HOST wall must not exceed
-// dsa-extended × -slack + -adaptive-eps. The adaptive policy's claim
-// is "never much worse than the better static choice on the paper's
-// objective, at negligible bookkeeping cost"; this gate holds it to
-// both halves on every host (see checkAdaptive for why host wall is
-// not compared against scalar).
 package main
 
 import (
@@ -93,7 +84,7 @@ type File struct {
 	Totals    map[string]Totals `json:"totals"`
 }
 
-var modes = []string{"scalar", "dsa-original", "dsa-extended", "dsa-adaptive"}
+var modes = []string{"scalar", "dsa-original", "dsa-extended"}
 
 // runScalar times one scalar-mode run; returns steps, ticks, wall,
 // modeled energy.
@@ -153,8 +144,6 @@ func measure(w *workloads.Workload, mode string, reps int) (Result, error) {
 			steps, ticks, wall, nj, err = runScalar(w)
 		case "dsa-original":
 			steps, ticks, wall, nj, err = runDSA(w, dsa.OriginalConfig())
-		case "dsa-adaptive":
-			steps, ticks, wall, nj, err = runDSA(w, dsa.AdaptiveConfig())
 		default:
 			steps, ticks, wall, nj, err = runDSA(w, dsa.DefaultConfig())
 		}
@@ -206,78 +195,11 @@ func checkBaseline(f *File, path string, slack float64) error {
 	return nil
 }
 
-// checkAdaptive enforces the adaptive-policy gate from this run's own
-// measurements, per workload, in two parts:
-//
-//  1. Simulated ticks: dsa-adaptive ≤ min(scalar, dsa-extended) ×
-//     slack. Ticks are what the policy actually optimizes — fully
-//     deterministic and free of host noise — so this asserts the
-//     bandit never loses the paper's objective to either static
-//     choice.
-//  2. Host wall: dsa-adaptive ≤ dsa-extended × slack + epsNS. The
-//     adaptive engine does at most the extended engine's work plus
-//     the (cheap) ledger bookkeeping; this catches the bookkeeping
-//     becoming expensive. epsNS is an absolute grace for
-//     sub-millisecond workloads where scheduler noise swamps ratios.
-//
-// (Host wall is deliberately NOT compared against scalar: simulating
-// a winning NEON takeover can cost more host time than plain scalar
-// interpretation, and the policy — deterministic by construction —
-// never sees host clocks.)
-//
-// No baseline file is involved, so the gate holds on hosts of any
-// speed.
-func checkAdaptive(f *File, slack float64, epsNS int64) error {
-	type meas struct{ wall, ticks int64 }
-	byWL := map[string]map[string]meas{} // workload → mode → measurement
-	for _, r := range f.Results {
-		if byWL[r.Workload] == nil {
-			byWL[r.Workload] = map[string]meas{}
-		}
-		byWL[r.Workload][r.Mode] = meas{wall: r.WallNS, ticks: r.Ticks}
-	}
-	var bad []string
-	for _, name := range f.Workloads {
-		m := byWL[name]
-		sc, okS := m["scalar"]
-		dx, okX := m["dsa-extended"]
-		ad, okA := m["dsa-adaptive"]
-		if !okS || !okX || !okA {
-			return fmt.Errorf("workload %s missing a mode measurement", name)
-		}
-		bestTicks := sc.ticks
-		if dx.ticks < bestTicks {
-			bestTicks = dx.ticks
-		}
-		tickLimit := int64(float64(bestTicks) * slack)
-		wallLimit := int64(float64(dx.wall)*slack) + epsNS
-		fmt.Printf("benchsim: adaptive gate %-12s ticks %9d (limit %9d)  wall %8.2f ms (limit %8.2f ms)\n",
-			name, ad.ticks, tickLimit, float64(ad.wall)/1e6, float64(wallLimit)/1e6)
-		if ad.ticks > tickLimit {
-			bad = append(bad, fmt.Sprintf("%s: adaptive %d ticks > min(scalar %d, dsa-ext %d) × %.2f",
-				name, ad.ticks, sc.ticks, dx.ticks, slack))
-		}
-		if ad.wall > wallLimit {
-			bad = append(bad, fmt.Sprintf("%s: adaptive wall %.2fms > dsa-ext %.2fms × %.2f + %.2fms",
-				name, float64(ad.wall)/1e6, float64(dx.wall)/1e6, slack, float64(epsNS)/1e6))
-		}
-	}
-	if len(bad) > 0 {
-		for _, line := range bad {
-			fmt.Fprintln(os.Stderr, "benchsim: adaptive gate: "+line)
-		}
-		return fmt.Errorf("adaptive policy lost to the best static mode on %d count(s)", len(bad))
-	}
-	return nil
-}
-
 func main() {
 	out := flag.String("out", "BENCH_sim.json", "output path")
 	reps := flag.Int("reps", 3, "repetitions per measurement (best kept)")
 	baseline := flag.String("baseline", "", "baseline BENCH_sim.json to gate the dsa-extended/scalar ratio against")
-	slack := flag.Float64("slack", 1.10, "allowed ratio regression factor vs -baseline (also the adaptive gate's ratio)")
-	adaptiveEps := flag.Duration("adaptive-eps", 250*time.Microsecond,
-		"absolute grace added to the adaptive wall gate (noise floor for sub-ms workloads)")
+	slack := flag.Float64("slack", 1.10, "allowed ratio regression factor vs -baseline")
 	flag.Parse()
 
 	f := File{
@@ -322,10 +244,6 @@ func main() {
 			"TOTAL", mode, tot.Steps, float64(tot.WallNS)/1e6, tot.EqStepsPerSec/1e6, tot.EnergyNJ)
 	}
 
-	if err := checkAdaptive(&f, *slack, adaptiveEps.Nanoseconds()); err != nil {
-		fmt.Fprintf(os.Stderr, "benchsim: %v\n", err)
-		os.Exit(1)
-	}
 	if *baseline != "" {
 		if err := checkBaseline(&f, *baseline, *slack); err != nil {
 			fmt.Fprintf(os.Stderr, "benchsim: %v\n", err)

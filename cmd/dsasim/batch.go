@@ -142,10 +142,6 @@ func runBatch(f batchFlags) int {
 			if r.Stats.Fallbacks > 0 {
 				line += fmt.Sprintf(" fallbacks=%d %s", r.Stats.Fallbacks, fmtReasons(r.Stats.FallbackReasons))
 			}
-			if r.Stats.PolicyKept+r.Stats.PolicySuspended+r.Stats.PolicyTrialed > 0 {
-				line += fmt.Sprintf(" policy=kept:%d,susp:%d,trial:%d",
-					r.Stats.PolicyKept, r.Stats.PolicySuspended, r.Stats.PolicyTrialed)
-			}
 		}
 		line += fmt.Sprintf(" wall=%s", r.Wall.Round(100*time.Microsecond))
 		fmt.Println(line)

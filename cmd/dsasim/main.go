@@ -36,7 +36,7 @@ import (
 func main() {
 	name := flag.String("workload", "", "workload name ("+strings.Join(workloads.Names(), ", ")+")")
 	mode := flag.String("mode", string(experiments.ModeDSAExt),
-		"system setup: arm-original, neon-autovec, neon-hand, neon-dsa-original, neon-dsa-extended, neon-dsa-adaptive")
+		"system setup: arm-original, neon-autovec, neon-hand, neon-dsa-original, neon-dsa-extended")
 	verbose := flag.Bool("v", false, "print instruction counts and DSA internals")
 	listing := flag.Bool("listing", false, "disassemble the executed program")
 	trace := flag.Uint64("trace", 0, "print the first N retired instructions of a scalar run")
@@ -45,7 +45,7 @@ func main() {
 	fault := flag.String("fault", "none", "inject a fault class into every takeover: none, corrupt-cache, cidp-skew, truncated-range, executor-error (runs with the oracle as fallback)")
 	faultEvery := flag.Uint64("fault-every", 1, "arm the injected fault on every Nth takeover")
 	batch := flag.Bool("batch", false, "run the workload × config matrix concurrently under the simulation supervisor")
-	configs := flag.String("configs", "extended", "batch: comma list of system configs (extended, original, adaptive, scalar)")
+	configs := flag.String("configs", "extended", "batch: comma list of system configs (extended, original, scalar)")
 	workers := flag.Int("workers", 0, "batch: worker pool size (0 = GOMAXPROCS)")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "batch: per-attempt deadline (0 = none)")
 	retries := flag.Int("retries", 1, "batch: extra attempts after a fault-classified failure")
@@ -145,10 +145,6 @@ func main() {
 			fmt.Printf("            analysis=%d ticks (%.2f%% of run, hidden)  switch overhead=%d ticks\n",
 				st.AnalysisTicks, st.DetectionShare(r.Ticks)*100, st.OverheadTicks)
 			fmt.Printf("            loop census: %v\n", st.ByKind)
-			if r.Mode == experiments.ModeDSAAdaptive {
-				fmt.Printf("            policy: kept=%d suspended=%d trialed=%d\n",
-					st.PolicyKept, st.PolicySuspended, st.PolicyTrialed)
-			}
 			if st.Fallbacks > 0 {
 				fmt.Printf("            fallbacks=%d %s dropped-requests=%d\n",
 					st.Fallbacks, fmtReasons(st.FallbackReasons), st.DroppedRequests)

@@ -14,7 +14,7 @@ import (
 func main() {
 	table := flag.String("table", "all",
 		"artifact to print: all, a1-fig12, a1-table3, a2-fig16, a2-table3, "+
-			"a3-fig7, a3-fig8, a3-fig9, a3-table3, adaptive, inhibitors, "+
+			"a3-fig7, a3-fig8, a3-fig9, a3-table3, inhibitors, "+
 			"techniques, setup, summary, csv")
 	flag.Parse()
 
@@ -31,10 +31,10 @@ func main() {
 		return
 	}
 
-	fmt.Fprintln(os.Stderr, "running the full suite under all six system setups …")
+	fmt.Fprintln(os.Stderr, "running the full suite under all five system setups …")
 	suite, err := experiments.RunSuite([]experiments.Mode{
 		experiments.ModeScalar, experiments.ModeAutoVec, experiments.ModeHand,
-		experiments.ModeDSAOrig, experiments.ModeDSAExt, experiments.ModeDSAAdaptive,
+		experiments.ModeDSAOrig, experiments.ModeDSAExt,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiment failed:", err)
@@ -58,7 +58,6 @@ func main() {
 	show("a3-fig8", func() { suite.Article3Fig8(out) })
 	show("a3-fig9", func() { suite.Article3Fig9(out) })
 	show("a3-table3", func() { suite.Article3Table3(out) })
-	show("adaptive", func() { suite.AdaptivePolicyTable(out) })
 	show("inhibitors", func() { suite.InhibitorsTable(out) })
 	show("summary", func() { suite.Summary(out) })
 	show("csv", func() { suite.WriteCSV(out) })

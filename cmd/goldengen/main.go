@@ -39,10 +39,6 @@ type DSAStats struct {
 	VectorizedIters  uint64 `json:"vectorized_iters"`
 	LeftoverElements uint64 `json:"leftover_elements"`
 	OverheadTicks    int64  `json:"overhead_ticks"`
-	// Adaptive-policy counters (schema v3); zero in every other mode.
-	PolicyKept      uint64 `json:"policy_kept,omitempty"`
-	PolicySuspended uint64 `json:"policy_suspended,omitempty"`
-	PolicyTrialed   uint64 `json:"policy_trialed,omitempty"`
 }
 
 // Golden is one workload/mode observation.
@@ -64,7 +60,7 @@ type File struct {
 
 var modes = []experiments.Mode{
 	experiments.ModeScalar, experiments.ModeAutoVec, experiments.ModeHand,
-	experiments.ModeDSAOrig, experiments.ModeDSAExt, experiments.ModeDSAAdaptive,
+	experiments.ModeDSAOrig, experiments.ModeDSAExt,
 }
 
 func runOne(w *workloads.Workload, mode experiments.Mode) (*Golden, error) {
@@ -85,13 +81,10 @@ func runOne(w *workloads.Workload, mode experiments.Mode) (*Golden, error) {
 			prog = w.Hand()
 		}
 		m = cpu.MustNew(prog, cpu.DefaultConfig())
-	case experiments.ModeDSAOrig, experiments.ModeDSAExt, experiments.ModeDSAAdaptive:
+	case experiments.ModeDSAOrig, experiments.ModeDSAExt:
 		cfg := dsa.DefaultConfig()
-		switch mode {
-		case experiments.ModeDSAOrig:
+		if mode == experiments.ModeDSAOrig {
 			cfg = dsa.OriginalConfig()
-		case experiments.ModeDSAAdaptive:
-			cfg = dsa.AdaptiveConfig()
 		}
 		s, err := dsa.NewSystem(w.Scalar(), cpu.DefaultConfig(), cfg)
 		if err != nil {
@@ -119,9 +112,6 @@ func runOne(w *workloads.Workload, mode experiments.Mode) (*Golden, error) {
 			VectorizedIters:  st.VectorizedIters,
 			LeftoverElements: st.LeftoverElements,
 			OverheadTicks:    st.OverheadTicks,
-			PolicyKept:       st.PolicyKept,
-			PolicySuspended:  st.PolicySuspended,
-			PolicyTrialed:    st.PolicyTrialed,
 		}
 		g.MemDigest = fmt.Sprintf("%016x", s.M.Mem.Sum64())
 		g.Ticks = s.M.Ticks

@@ -174,18 +174,17 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg.Logf("dsasimd: %v", err)
 	}
 
-	// The expiry loop must notice a lapsed lease well before a whole
-	// TTL passes again, but not burn a core on tiny test TTLs.
-	tick := cfg.LeaseTTL / 4
-	if tick > 250*time.Millisecond {
-		tick = 250 * time.Millisecond
-	}
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
 	c.wg.Add(1)
-	go c.loop(tick)
+	go c.loop(leaseTick(cfg.LeaseTTL))
 	return c, nil
+}
+
+// leaseTick is the period of the lease loops (the coordinator's expiry
+// loop and the HA node's role loop): a quarter TTL, so a lapsed lease
+// is noticed well before a whole TTL passes again, clamped to
+// [1 ms, 250 ms] so tiny test TTLs do not burn a core.
+func leaseTick(ttl time.Duration) time.Duration {
+	return min(max(ttl/4, time.Millisecond), 250*time.Millisecond)
 }
 
 // loop is the failure detector: every tick it expires lapsed leases,

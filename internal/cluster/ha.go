@@ -198,14 +198,7 @@ func (n *Node) Leader() *Coordinator {
 // attempts a takeover.
 func (n *Node) run() {
 	defer n.wg.Done()
-	tick := n.cfg.LeaseTTL / 4
-	if tick > 250*time.Millisecond {
-		tick = 250 * time.Millisecond
-	}
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(leaseTick(n.cfg.LeaseTTL))
 	defer t.Stop()
 	for {
 		select {

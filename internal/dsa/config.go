@@ -20,10 +20,7 @@
 //	              sentinel speculative execution
 package dsa
 
-import (
-	"repro/internal/armlite"
-	"repro/internal/policy"
-)
+import "repro/internal/armlite"
 
 // LeftoverPolicy selects how iterations that do not fill a full vector
 // are executed (dissertation §4.8).
@@ -126,14 +123,6 @@ type Config struct {
 	// budget instead of burning the machine's global MaxSteps.
 	TakeoverStepBudget uint64
 
-	// EnablePolicy turns on the adaptive takeover policy (the
-	// dsa-adaptive mode): a per-loop cost/benefit bandit that suspends
-	// analysis and takeovers for loops that repeatedly lose against
-	// their own measured scalar baseline. See internal/policy.
-	EnablePolicy bool
-	// Policy tunes the adaptive controller (zero value = defaults).
-	Policy policy.Params
-
 	// Verify enables the differential oracle: every committed takeover
 	// is shadowed by a scalar replay and diffed (see VerifyConfig).
 	Verify VerifyConfig
@@ -162,15 +151,6 @@ func DefaultConfig() Config {
 		EnablePartial:      true,
 		EnableGuardVec:     true,
 	}
-}
-
-// AdaptiveConfig returns the Extended DSA with the adaptive takeover
-// policy on: every mechanism of DefaultConfig, plus the per-loop
-// cost/benefit bandit that suspends losing loops.
-func AdaptiveConfig() Config {
-	c := DefaultConfig()
-	c.EnablePolicy = true
-	return c
 }
 
 // OriginalConfig returns the Article 1 DSA: count, function and
@@ -224,11 +204,6 @@ type Stats struct {
 	VerifiedTakeovers uint64            // takeovers cross-checked by the oracle
 	Divergences       uint64            // oracle mismatches detected
 	DroppedRequests   uint64            // takeover offers discarded mid-verification
-
-	// Adaptive-policy accounting (zero outside dsa-adaptive mode).
-	PolicyKept      uint64 // takeovers whose measured outcome was a win
-	PolicySuspended uint64 // transitions into suspension (incl. failed trials)
-	PolicyTrialed   uint64 // trial entries granted to suspended loops
 }
 
 func newStats() *Stats {

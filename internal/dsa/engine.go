@@ -3,8 +3,6 @@ package dsa
 import (
 	"repro/internal/armlite"
 	"repro/internal/cpu"
-	"repro/internal/energy"
-	"repro/internal/policy"
 )
 
 // ReqKind discriminates takeover requests the engine hands the system.
@@ -46,12 +44,6 @@ type Engine struct {
 	live    []*track
 	pending *Request
 
-	// policy is the adaptive takeover controller (nil unless
-	// Config.EnablePolicy). It gates loop entries at both decision
-	// points — analysis on a cache miss, takeover on a cache hit — and
-	// accumulates measured win/loss outcomes per loop PC.
-	policy *policy.Controller
-
 	// kindOf deduplicates the loop-type census by static loop ID.
 	kindOf map[int]LoopKind
 
@@ -70,51 +62,13 @@ func NewEngine(m *cpu.Machine, cfg Config) *Engine {
 	if cfg.DSACacheBytes == 0 {
 		cfg = DefaultConfig()
 	}
-	e := &Engine{
+	return &Engine{
 		cfg:    cfg,
 		m:      m,
 		Cache:  NewDSACache(cfg.DSACacheBytes),
 		VCache: NewVCache(cfg.VCacheBytes),
 		stats:  newStats(),
 		kindOf: make(map[int]LoopKind),
-	}
-	if cfg.EnablePolicy {
-		e.policy = policy.New(cfg.Policy)
-	}
-	return e
-}
-
-// Policy returns the adaptive takeover controller, or nil when the
-// engine runs without one.
-func (e *Engine) Policy() *policy.Controller { return e.policy }
-
-// energyNow evaluates the energy model over the cumulative counters —
-// two calls bracket an interval, and their difference is that
-// interval's energy. Pure integer-derived float arithmetic, so it is
-// bit-deterministic and safe for policy decisions.
-func (e *Engine) energyNow() float64 {
-	return energy.Compute(energy.DefaultParams(), e.m.Counts,
-		e.m.Caches.L1Stats(), e.m.Caches.L2Stats(), e.stats.EnergyEvents()).Total()
-}
-
-// policyEntry consults the controller for one entry of loop id and
-// counts granted trials.
-func (e *Engine) policyEntry(id int) policy.Decision {
-	d := e.policy.OnEntry(id)
-	if d == policy.AllowTrial {
-		e.stats.PolicyTrialed++
-	}
-	return d
-}
-
-// policyLoss charges one non-takeover loss (rejected analysis or a
-// declined cache-hit takeover) to loop id.
-func (e *Engine) policyLoss(id int) {
-	if e.policy == nil {
-		return
-	}
-	if e.policy.RecordLoss(id) {
-		e.stats.PolicySuspended++
 	}
 }
 
@@ -164,12 +118,6 @@ func (e *Engine) takeTrack(id, branchPC int) *track {
 		t.reset(id, branchPC)
 	} else {
 		t = newTrack(id, branchPC)
-	}
-	if e.policy != nil {
-		// Mark the end of iteration 1: iteration 2's tick and energy
-		// deltas sample the loop's own scalar per-iteration cost.
-		t.tickMark = e.m.Ticks
-		t.energyMark = e.energyNow()
 	}
 	return t
 }
@@ -280,12 +228,6 @@ func (e *Engine) detectLoop(id, branchPC int) {
 		e.onCacheHit(cached, branchPC)
 		return
 	}
-	// Adaptive gate (analysis level): a suspended loop is observed —
-	// the detection hardware cannot help seeing its back branch — but
-	// no track is opened, so no analysis energy or host time is spent.
-	if e.policy != nil && e.policyEntry(id) == policy.Deny {
-		return
-	}
 	t := e.takeTrack(id, branchPC)
 	t.snapCur = e.m.R
 	e.live = append(e.live, t)
@@ -302,10 +244,6 @@ func (e *Engine) onCacheHit(c *CachedLoop, branchPC int) {
 	if e.pending != nil {
 		// One takeover request at a time; this entry runs scalar and
 		// the next entry will hit again.
-		return
-	}
-	// Adaptive gate (takeover level): suspended loops stay scalar.
-	if e.policy != nil && e.policyEntry(c.LoopID) == policy.Deny {
 		return
 	}
 	a := c.Analysis
@@ -340,17 +278,12 @@ func (e *Engine) onCacheHit(c *CachedLoop, branchPC int) {
 	case KindConditional:
 		n := e.predictTotal(a, 1)
 		if n-2 < 2*a.Lanes() {
-			// Declining a cached loop costs one cache lookup — too cheap
-			// to count as a policy loss (a loop with variable trip counts
-			// would otherwise get benched for its short entries even when
-			// its long entries win).
 			return // too short to pay for the switch this entry
 		}
 		e.pending = e.newRequest(Request{Kind: ReqConditional, Analysis: a, StartIter: 2, TotalIters: n, Cached: c})
 	default:
 		n := e.predictTotal(a, 1)
 		if n-2 < 2*a.Lanes() {
-			// Cheap cached decline — not a policy loss (see above).
 			return // too short to pay for the switch this entry
 		}
 		// Re-validate the dependency prediction under the new range.
@@ -367,7 +300,6 @@ func (e *Engine) onCacheHit(c *CachedLoop, branchPC int) {
 		e.stats.AnalysisTicks += int64(res.Compares) * e.cfg.Latencies.CIDPCompare
 		if res.HasCID && !a.Partial {
 			if !e.cfg.EnablePartial || res.Distance < 2 {
-				// Cheap cached decline — not a policy loss (see above).
 				return
 			}
 		}
@@ -542,10 +474,6 @@ func (e *Engine) recordVerdict(t *track, vectorizable bool) {
 	if t.rejected != "" {
 		e.stats.RejectedReasons[t.rejected]++
 	}
-	// Every rejected analysis spent detection work for nothing — a loss
-	// in the adaptive ledger (including data-dependent rejections that
-	// are NOT cached and would otherwise re-analyze on every entry).
-	e.policyLoss(t.id)
 	// Data-dependent verdicts (the path mix or coverage may differ on
 	// the next entry) are not cached; structural ones are.
 	if t.kind == KindNonVectorizable && t.rejected != "exited-before-analysis" &&
@@ -616,11 +544,6 @@ func (e *Engine) endIteration(t *track) {
 
 	switch {
 	case t.iter == 2:
-		if e.policy != nil {
-			// Iteration 2 ran fully scalar between the marks: its cost
-			// is the per-iteration baseline a takeover must beat.
-			e.policy.SetBaseline(t.id, e.m.Ticks-t.tickMark, e.energyNow()-t.energyMark)
-		}
 		e.dataCollection(t)
 	case t.iter == 3 && !t.condSeen:
 		e.dependencyAnalysis(t)

@@ -306,7 +306,6 @@ func (e *Engine) decideSimple(t *track) {
 	// pipeline flush, so the remaining window must cover at least two
 	// full vectors to pay for itself.
 	if n-4 < 2*dt.Lanes() {
-		e.policyLoss(t.id) // analysis paid, nothing taken over
 		return // too few iterations left this entry; cached for later
 	}
 	if e.pending == nil {

@@ -439,7 +439,6 @@ func (e *Engine) decideConditional(t *track) {
 	e.recordVerdict(t, true)
 
 	if n-t.iter < a.Lanes() {
-		e.policyLoss(t.id) // analysis paid, nothing taken over
 		return
 	}
 	if e.pending == nil {

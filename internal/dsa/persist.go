@@ -15,7 +15,6 @@ const (
 	secStats  = "dsa.stats"
 	secCache  = "dsa.cache"
 	secFaults = "dsa.faults"
-	secPolicy = "dsa.policy"
 )
 
 // Quiescent reports whether the engine is between analyses: no live
@@ -70,12 +69,6 @@ func (s *System) SaveState(w *snapshot.Writer) error {
 		fa.U64(s.faults.Seen)
 		fa.U64(s.faults.Fired)
 		w.Add(secFaults, fa.Bytes())
-	}
-
-	if e.policy != nil {
-		var po snapshot.Enc
-		e.policy.Encode(&po)
-		w.Add(secPolicy, po.Bytes())
 	}
 	return nil
 }
@@ -147,21 +140,6 @@ func (s *System) RestoreState(r *snapshot.Reader) error {
 		return fmt.Errorf("%w: snapshot from a fault-injection run restored without fault config", snapshot.ErrMismatch)
 	}
 
-	if e.policy != nil {
-		po, err := dsaSection(r, secPolicy)
-		if err != nil {
-			return err
-		}
-		if err := e.policy.Decode(po); err != nil {
-			return err
-		}
-		if err := po.Done(); err != nil {
-			return err
-		}
-	} else if r.Has(secPolicy) {
-		return fmt.Errorf("%w: snapshot from an adaptive-policy run restored without policy config", snapshot.ErrMismatch)
-	}
-
 	// Analysis and probing state restart clean: live tracks and the
 	// pending request were empty at save time (quiescence), and the
 	// verification cache is reset per analysis.
@@ -181,7 +159,10 @@ func dsaSection(r *snapshot.Reader, name string) (*snapshot.Dec, error) {
 
 // encodeDSAConfig serializes the behavior-determining configuration so
 // a resumed run cannot silently continue under different mechanisms
-// (which would break bit-identity with the uninterrupted run).
+// (which would break bit-identity with the uninterrupted run). Adding
+// or removing a field here makes older checkpoints fail checkDSAConfig
+// with a typed error, so they restart from zero without a
+// snapshot.Version bump.
 func encodeDSAConfig(e *snapshot.Enc, c *Config) {
 	e.Int(c.DSACacheBytes)
 	e.Int(c.VCacheBytes)
@@ -199,11 +180,6 @@ func encodeDSAConfig(e *snapshot.Enc, c *Config) {
 	e.Int(int(c.Fault.Kind))
 	e.U64(c.Fault.EveryN)
 	e.I64(c.Fault.SkewBytes)
-	e.Bool(c.EnablePolicy)
-	e.Int(c.Policy.SuspendAfter)
-	e.Int(c.Policy.TrialEvery)
-	e.Int(c.Policy.TrialBackoffMax)
-	e.I64(c.Policy.MinTickGain)
 	l := &c.Latencies
 	for _, v := range []int64{l.ObservePerInstr, l.DSACacheAccess, l.VCacheAccess,
 		l.ArrayMapAccess, l.CIDPCompare, l.PartialReanalysis,
@@ -246,9 +222,6 @@ func encodeStats(e *snapshot.Enc, s *Stats) {
 	e.U64(s.VerifiedTakeovers)
 	e.U64(s.Divergences)
 	e.U64(s.DroppedRequests)
-	e.U64(s.PolicyKept)
-	e.U64(s.PolicySuspended)
-	e.U64(s.PolicyTrialed)
 
 	kinds := make([]int, 0, len(s.ByKind))
 	for k := range s.ByKind {
@@ -283,9 +256,6 @@ func decodeStats(d *snapshot.Dec, s *Stats) error {
 	s.VerifiedTakeovers = d.U64()
 	s.Divergences = d.U64()
 	s.DroppedRequests = d.U64()
-	s.PolicyKept = d.U64()
-	s.PolicySuspended = d.U64()
-	s.PolicyTrialed = d.U64()
 
 	s.ByKind = make(map[LoopKind]uint64)
 	n := int(d.U32())

@@ -117,13 +117,11 @@ func (s *System) Faults() *FaultInjector { return s.faults }
 // hard-verify mode).
 func (s *System) guarded(req *Request) error {
 	label := s.faults.Arm(req)
-	mark := s.policyBegin()
 	cp := s.M.Checkpoint()
 	err := s.handle(req)
 	if err == nil {
 		if !s.cfg.Verify.Enabled {
 			s.M.Release(cp)
-			s.policySettle(req, mark)
 			return nil
 		}
 		div, verr := s.verify(req, cp)
@@ -132,9 +130,7 @@ func (s *System) guarded(req *Request) error {
 		}
 		if div == nil {
 			// Oracle agreed; the speculative outcome (ticks, steps,
-			// counters) is architecturally in place, so the deltas
-			// across the takeover are the takeover's own cost.
-			s.policySettle(req, mark)
+			// counters) is architecturally in place.
 			return nil
 		}
 		// The oracle's scalar state is already architecturally in
@@ -155,53 +151,6 @@ func (s *System) guarded(req *Request) error {
 	s.E.stats.OverheadTicks += s.cfg.Latencies.PipelineFlush
 	s.fallbackTo(req, errorCause(err, label))
 	return nil
-}
-
-// policyMark captures the cumulative counters entering a takeover so
-// policySettle can measure what the takeover actually cost.
-type policyMark struct {
-	on       bool
-	ticks    int64
-	vecIters uint64
-	energyNJ float64
-}
-
-func (s *System) policyBegin() policyMark {
-	if s.E.policy == nil {
-		return policyMark{}
-	}
-	return policyMark{
-		on:       true,
-		ticks:    s.M.Ticks,
-		vecIters: s.E.stats.VectorizedIters,
-		energyNJ: s.E.energyNow(),
-	}
-}
-
-// policySettle folds one committed takeover's measured outcome into the
-// adaptive ledger: estimated scalar cost (the loop's own sampled
-// per-iteration baseline × iterations vectorized) minus the measured
-// takeover cost. Rolled-back takeovers never settle — the loop is
-// blacklisted structurally, which removes the arm from play entirely.
-func (s *System) policySettle(req *Request, mark policyMark) {
-	if !mark.on {
-		return
-	}
-	pc := req.Analysis.LoopID
-	baseTicks, baseEnergy, ok := s.E.policy.Baseline(pc)
-	if !ok {
-		return // no sampled baseline (nothing to compare against)
-	}
-	iters := int64(s.E.stats.VectorizedIters - mark.vecIters)
-	tickGain := baseTicks*iters - (s.M.Ticks - mark.ticks)
-	energyGain := baseEnergy*float64(iters) - (s.E.energyNow() - mark.energyNJ)
-	win, suspended := s.E.policy.RecordTakeover(pc, tickGain, energyGain)
-	if win {
-		s.E.stats.PolicyKept++
-	}
-	if suspended {
-		s.E.stats.PolicySuspended++
-	}
 }
 
 // fallbackTo blacklists the loop and counts the fallback.

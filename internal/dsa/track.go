@@ -162,13 +162,6 @@ type track struct {
 	// iteration (reset every iteration).
 	occ map[int]int
 
-	// Adaptive-policy baseline marks: machine ticks and modeled energy
-	// at track creation (= the end of iteration 1), so iteration 2's
-	// deltas sample the loop's scalar per-iteration cost. Zero outside
-	// adaptive mode; set by the engine's takeTrack.
-	tickMark   int64
-	energyMark float64
-
 	// trip is the derived range mechanism.
 	trip *TripInfo
 

@@ -69,13 +69,10 @@ func buildSim(w *workloads.Workload, mode Mode) (*sim, error) {
 		m := cpu.MustNew(prog, cpu.DefaultConfig())
 		w.Setup(m)
 		return &sim{m: m}, nil
-	case ModeDSAOrig, ModeDSAExt, ModeDSAAdaptive:
+	case ModeDSAOrig, ModeDSAExt:
 		cfg := dsa.DefaultConfig()
-		switch mode {
-		case ModeDSAOrig:
+		if mode == ModeDSAOrig {
 			cfg = dsa.OriginalConfig()
-		case ModeDSAAdaptive:
-			cfg = dsa.AdaptiveConfig()
 		}
 		s, err := dsa.NewSystem(w.Scalar(), cpu.DefaultConfig(), cfg)
 		if err != nil {
@@ -169,7 +166,7 @@ func resumeSeed() int64 {
 
 func TestInterruptResumeOracle(t *testing.T) {
 	seed := resumeSeed()
-	modes := []Mode{ModeScalar, ModeAutoVec, ModeHand, ModeDSAOrig, ModeDSAExt, ModeDSAAdaptive}
+	modes := []Mode{ModeScalar, ModeAutoVec, ModeHand, ModeDSAOrig, ModeDSAExt}
 	for _, w := range resumeWorkloads(t) {
 		for _, mode := range modes {
 			w, mode := w, mode

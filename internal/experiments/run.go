@@ -21,12 +21,11 @@ type Mode string
 
 // The system setups.
 const (
-	ModeScalar      Mode = "arm-original"
-	ModeAutoVec     Mode = "neon-autovec"
-	ModeHand        Mode = "neon-hand"
-	ModeDSAOrig     Mode = "neon-dsa-original"
-	ModeDSAExt      Mode = "neon-dsa-extended"
-	ModeDSAAdaptive Mode = "neon-dsa-adaptive"
+	ModeScalar  Mode = "arm-original"
+	ModeAutoVec Mode = "neon-autovec"
+	ModeHand    Mode = "neon-hand"
+	ModeDSAOrig Mode = "neon-dsa-original"
+	ModeDSAExt  Mode = "neon-dsa-extended"
 )
 
 // Result is one verified run.
@@ -81,13 +80,10 @@ func Run(w *workloads.Workload, mode Mode) (*Result, error) {
 			return nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
 		}
 
-	case ModeDSAOrig, ModeDSAExt, ModeDSAAdaptive:
+	case ModeDSAOrig, ModeDSAExt:
 		cfg := dsa.DefaultConfig()
-		switch mode {
-		case ModeDSAOrig:
+		if mode == ModeDSAOrig {
 			cfg = dsa.OriginalConfig()
-		case ModeDSAAdaptive:
-			cfg = dsa.AdaptiveConfig()
 		}
 		s, err := dsa.NewSystem(w.Scalar(), cpu.DefaultConfig(), cfg)
 		if err != nil {

@@ -146,77 +146,18 @@ func (s *Suite) Article3Fig8(w io.Writer) {
 }
 
 // Article3Fig9 prints energy savings over the ARM original execution.
-// When the suite also ran the adaptive mode, a fourth column shows the
-// policy-gated DSA.
 func (s *Suite) Article3Fig9(w io.Writer) {
-	adaptive := s.has(ModeDSAAdaptive)
 	fmt.Fprintln(w, "== Article 3, Fig. 9 — Energy savings over ARM Original Execution")
-	fmt.Fprintf(w, "%-12s %12s %12s %12s", "benchmark", "autovec", "hand-coded", "dsa-ext")
-	if adaptive {
-		fmt.Fprintf(w, " %12s", "dsa-adaptive")
-	}
-	fmt.Fprintln(w)
-	var ev, pv []float64
+	fmt.Fprintf(w, "%-12s %12s %12s %12s\n", "benchmark", "autovec", "hand-coded", "dsa-ext")
+	var ev []float64
 	for _, name := range Article3Workloads {
 		a := s.EnergySavings(name, ModeAutoVec)
 		h := s.EnergySavings(name, ModeHand)
 		e := s.EnergySavings(name, ModeDSAExt)
 		ev = append(ev, e)
-		fmt.Fprintf(w, "%-12s %11.1f%% %11.1f%% %11.1f%%", name, a, h, e)
-		if adaptive {
-			p := s.EnergySavings(name, ModeDSAAdaptive)
-			pv = append(pv, p)
-			fmt.Fprintf(w, " %11.1f%%", p)
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "%-12s %11.1f%% %11.1f%% %11.1f%%\n", name, a, h, e)
 	}
-	fmt.Fprintf(w, "%-12s %24s %12.1f%%", "mean", "", stats.Mean(ev))
-	if adaptive {
-		fmt.Fprintf(w, " %11.1f%%", stats.Mean(pv))
-	}
-	fmt.Fprintln(w, "   (paper: 45% for DSA)")
-}
-
-// has reports whether every workload in the suite carries a result for
-// the mode.
-func (s *Suite) has(mode Mode) bool {
-	for _, m := range s.Modes {
-		if m == mode {
-			return true
-		}
-	}
-	return false
-}
-
-// AdaptivePolicyTable prints the adaptive-policy ledger per workload:
-// how many takeovers the bandit kept, how many loops it benched after
-// repeated losses, how many trials it granted, and the DSA detection
-// energy under the extended vs adaptive configs. Suspended loops are
-// still observed (the DSA must keep watching to know when to grant a
-// trial — detection-preamble energy continues), but their tracks are
-// never allocated and their windows never re-analyzed, so the Δdsa
-// column stays within a few percent of the extended config while the
-// policy removes the losing takeovers themselves.
-func (s *Suite) AdaptivePolicyTable(w io.Writer) {
-	fmt.Fprintln(w, "== Adaptive takeover policy — per-loop cost/benefit ledger")
-	fmt.Fprintf(w, "%-12s %10s %6s %6s %6s %14s %14s %10s\n",
-		"benchmark", "takeovers", "kept", "susp", "trial", "dsa-ext (nJ)", "adaptive (nJ)", "Δdsa")
-	for _, name := range Article3Workloads {
-		r := s.Results[name][ModeDSAAdaptive]
-		ext := s.Results[name][ModeDSAExt]
-		if r == nil || r.DSA == nil || ext == nil {
-			continue
-		}
-		delta := 0.0
-		if ext.Energy.DSA > 0 {
-			delta = (r.Energy.DSA/ext.Energy.DSA - 1) * 100
-		}
-		fmt.Fprintf(w, "%-12s %10d %6d %6d %6d %14.1f %14.1f %+9.1f%%\n",
-			name, r.DSA.Takeovers, r.DSA.PolicyKept, r.DSA.PolicySuspended, r.DSA.PolicyTrialed,
-			ext.Energy.DSA, r.Energy.DSA, delta)
-	}
-	fmt.Fprintln(w, "   (susp: loops benched by the bandit — still observed, never re-analyzed;")
-	fmt.Fprintln(w, "    trial: periodic probation entries that let a loop earn back)")
+	fmt.Fprintf(w, "%-12s %24s %12.1f%%   (paper: 45%% for DSA)\n", "mean", "", stats.Mean(ev))
 }
 
 // Article3Table3 prints the DSA energy share: how much of the total

@@ -232,6 +232,44 @@ func TestRunnerMismatchedSnapshot(t *testing.T) {
 	}
 }
 
+// TestRunnerOldCheckpointRestartsFromZero: a checkpoint written before
+// the adaptive mode was removed (its DSA config encoding still carries
+// the policy fields) fails restore as snapshot-mismatch; the job
+// restarts from zero and ends with its golden digest and ticks (the
+// mm_32x32 neon-dsa-extended row of
+// internal/experiments/testdata/golden_digests.json).
+func TestRunnerOldCheckpointRestartsFromZero(t *testing.T) {
+	job := snapshotTestJob(t)
+	old, err := os.ReadFile("../dsa/testdata/checkpoints/old-extended-mm_32x32.dsnp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, snapshotFileName(job.Name))
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep := Run(context.Background(), []Job{job}, Options{
+		Workers:     1,
+		SnapshotDir: dir,
+		Resume:      true,
+	})
+	r := rep.Results[0]
+	if r.Status != StatusOK {
+		t.Fatalf("run: %+v (err %v)", r, r.Err)
+	}
+	if r.ResumedFromStep != 0 {
+		t.Errorf("resumed from step %d off an old-layout checkpoint", r.ResumedFromStep)
+	}
+	if !strings.Contains(r.ResumeNote, "restart-from-zero: snapshot-mismatch") {
+		t.Errorf("ResumeNote = %q, want restart-from-zero: snapshot-mismatch", r.ResumeNote)
+	}
+	if r.MemSum != 0x60f051dea5240abf || r.Ticks != 1298915 {
+		t.Errorf("restart ended with mem %016x ticks %d, want the golden 60f051dea5240abf / 1298915", r.MemSum, r.Ticks)
+	}
+}
+
 // TestRunnerPeriodicCheckpointing: with a small step interval the
 // runner must leave a valid checkpoint behind when an attempt dies,
 // and the retry must resume from it.

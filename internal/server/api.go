@@ -35,8 +35,7 @@ type JobSpec struct {
 	// parser; submissions with syntax errors are rejected with 400.
 	Source string `json:"source,omitempty"`
 	// Config picks the system setup: "extended" (default), "original",
-	// "adaptive" (extended DSA plus the per-loop takeover policy), or
-	// "scalar" (DSA off).
+	// or "scalar" (DSA off).
 	Config string `json:"config,omitempty"`
 	// Verify enables the differential oracle on every takeover.
 	Verify bool `json:"verify,omitempty"`
@@ -52,12 +51,10 @@ func ConfigByName(name string) (cfg dsa.Config, dsaOff bool, err error) {
 		return dsa.DefaultConfig(), false, nil
 	case "original":
 		return dsa.OriginalConfig(), false, nil
-	case "adaptive":
-		return dsa.AdaptiveConfig(), false, nil
 	case "scalar":
 		return dsa.Config{}, true, nil
 	default:
-		return dsa.Config{}, false, fmt.Errorf("unknown config %q (want extended, original, adaptive or scalar)", name)
+		return dsa.Config{}, false, fmt.Errorf("unknown config %q (want extended, original or scalar)", name)
 	}
 }
 
@@ -170,14 +167,10 @@ type ResultJSON struct {
 	FallbackReasons map[string]uint64 `json:"fallback_reasons,omitempty"`
 	// Energy is the paper's energy-model breakdown for the successful
 	// run (absent for failed jobs).
-	Energy *EnergyJSON `json:"energy,omitempty"`
-	// Adaptive-policy counters (absent outside the "adaptive" config).
-	PolicyKept      uint64 `json:"policy_kept,omitempty"`
-	PolicySuspended uint64 `json:"policy_suspended,omitempty"`
-	PolicyTrialed   uint64 `json:"policy_trialed,omitempty"`
-	ResumedFromStep uint64 `json:"resumed_from_step,omitempty"`
-	ResumeNote      string `json:"resume_note,omitempty"`
-	Error           string `json:"error,omitempty"`
+	Energy          *EnergyJSON `json:"energy,omitempty"`
+	ResumedFromStep uint64      `json:"resumed_from_step,omitempty"`
+	ResumeNote      string      `json:"resume_note,omitempty"`
+	Error           string      `json:"error,omitempty"`
 }
 
 // EnergyJSON is the energy breakdown in nanojoules, by component.
@@ -220,9 +213,6 @@ func ResultFromRunner(r runner.Result) ResultJSON {
 		out.Takeovers = r.Stats.Takeovers
 		out.VectorizedIters = r.Stats.VectorizedIters
 		out.Fallbacks = r.Stats.Fallbacks
-		out.PolicyKept = r.Stats.PolicyKept
-		out.PolicySuspended = r.Stats.PolicySuspended
-		out.PolicyTrialed = r.Stats.PolicyTrialed
 		if len(r.Stats.FallbackReasons) > 0 {
 			out.FallbackReasons = make(map[string]uint64, len(r.Stats.FallbackReasons))
 			for k, v := range r.Stats.FallbackReasons {

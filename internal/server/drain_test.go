@@ -2,12 +2,15 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/snapshot"
 )
 
 // TestServiceDrainRestart is the durability e2e: a drain mid-run
@@ -95,5 +98,33 @@ func TestServiceDrainRestart(t *testing.T) {
 
 	if m := s2.Metrics(); !strings.Contains(m, "dsasimd_jobs_resumed_total 1") {
 		t.Errorf("resumed counter not incremented:\n%s", m)
+	}
+}
+
+// TestServiceRestoresRemovedConfig: a state file written before the
+// adaptive mode was removed may hold a queued job with
+// "config":"adaptive". The restarted daemon restores it, fails it
+// with cause bad-spec, and keeps serving other jobs.
+func TestServiceRestoresRemovedConfig(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "jobs.dsnp")
+	table := json.RawMessage(`{"next_id":2,"jobs":[{"id":"j000001",` +
+		`"spec":{"workload":"mm_32x32","config":"adaptive"},"status":"queued",` +
+		`"queued":"2026-10-17T12:16:57.722687735Z"}]}`)
+	if err := SaveState(state, snapshot.Writer{}, stateSection, table); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1, StateFile: state})
+	got := waitTerminal(t, ts, "j000001", 30*time.Second)
+	if got.Status != "failed" || got.Result.Cause != "bad-spec" {
+		t.Errorf("adaptive job: status %s cause %q, want failed / bad-spec", got.Status, got.Result.Cause)
+	}
+
+	v, _ := submit(t, ts, JobSpec{Workload: "mm_32x32"}, http.StatusAccepted)
+	if v.ID == "j000001" {
+		t.Fatalf("new job reused the restored job's ID")
+	}
+	if r := waitTerminal(t, ts, v.ID, 30*time.Second); r.Status != "ok" {
+		t.Errorf("job after the failed one: %+v", r.Result)
 	}
 }

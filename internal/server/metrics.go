@@ -18,12 +18,6 @@ type metrics struct {
 	retries     uint64
 	duration    *Histogram // job wall time, seconds
 	throughput  *Histogram // retired steps per wall second
-
-	// Adaptive-policy counters, summed over terminal jobs run with the
-	// "adaptive" config (zero otherwise).
-	policyKept      uint64
-	policySuspended uint64
-	policyTrialed   uint64
 	// Modeled energy in nanojoules by component, summed over successful
 	// terminal jobs.
 	energyNJ map[string]float64 // component → nJ
@@ -67,9 +61,6 @@ func (m *metrics) onDone(r ResultJSON, wall time.Duration) {
 	if sec > 0 && r.Steps > 0 {
 		m.throughput.Observe(float64(r.Steps) / sec)
 	}
-	m.policyKept += r.PolicyKept
-	m.policySuspended += r.PolicySuspended
-	m.policyTrialed += r.PolicyTrialed
 	if r.Energy != nil {
 		m.energyNJ["front_end"] += r.Energy.FrontEndNJ
 		m.energyNJ["scalar"] += r.Energy.ScalarNJ
@@ -109,9 +100,6 @@ func (m *metrics) render(g gauges) string {
 	x.Counter("dsasimd_jobs_resumed_total", "Jobs restored from a checkpoint after a restart.", m.resumed)
 	x.Counter("dsasimd_job_retries_total", "Extra attempts across all jobs (degradation reruns included).", m.retries)
 
-	x.Counter("dsasimd_policy_takeovers_kept_total", "Adaptive-policy takeovers judged a win by the per-loop ledger.", m.policyKept)
-	x.Counter("dsasimd_policy_takeovers_suspended_total", "Adaptive-policy suspensions (loops benched after repeated losses).", m.policySuspended)
-	x.Counter("dsasimd_policy_takeovers_trialed_total", "Adaptive-policy trial entries granted to suspended loops.", m.policyTrialed)
 	Labelled(&x, "counter", "dsasimd_energy_nanojoules_total", "Modeled energy over successful jobs, by component.", "component", m.energyNJ)
 
 	x.Histogram("dsasimd_job_duration_seconds", "Terminal job wall time in seconds.", m.duration)

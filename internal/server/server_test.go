@@ -210,12 +210,13 @@ func TestServiceRejectsBadSpecs(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	bad := []JobSpec{
-		{},                                    // neither workload nor source
-		{Workload: "mm_32x32", Source: "x"},   // both
-		{Workload: "no_such_workload"},        // unknown workload
-		{Source: "bogus r0, r1\n halt"},       // syntax error
-		{Workload: "mm_32x32", Config: "avx"}, // unknown config
-		{Workload: "mm_32x32", TimeoutMS: -5}, // negative timeout
+		{},                                         // neither workload nor source
+		{Workload: "mm_32x32", Source: "x"},        // both
+		{Workload: "no_such_workload"},             // unknown workload
+		{Source: "bogus r0, r1\n halt"},            // syntax error
+		{Workload: "mm_32x32", Config: "avx"},      // unknown config
+		{Workload: "mm_32x32", Config: "adaptive"}, // the removed adaptive mode
+		{Workload: "mm_32x32", TimeoutMS: -5},      // negative timeout
 	}
 	for i, spec := range bad {
 		if _, resp := submit(t, ts, spec, http.StatusBadRequest); resp == nil {
@@ -507,9 +508,6 @@ func TestServiceMetricsNames(t *testing.T) {
 		"dsasimd_jobs_interrupted_total",
 		"dsasimd_jobs_resumed_total",
 		"dsasimd_job_retries_total",
-		"dsasimd_policy_takeovers_kept_total",
-		"dsasimd_policy_takeovers_suspended_total",
-		"dsasimd_policy_takeovers_trialed_total",
 		"dsasimd_energy_nanojoules_total{component=\"front_end\"}",
 		"dsasimd_energy_nanojoules_total{component=\"scalar\"}",
 		"dsasimd_energy_nanojoules_total{component=\"caches\"}",
